@@ -138,7 +138,7 @@ def _cmd_eval(args) -> int:
     dataset = read_manifest(manifest, run.model.num_classes)
     if run.normalize:
         dataset, _ = normalize_per_group(dataset)
-    res = evaluate(model_run.model, params, dataset)
+    res = evaluate(model_run.model, params, dataset, run.train.batch_size)
     print(f"ua_recall {res.ua_recall:.4f}")
     for c, r in enumerate(res.per_class):
         print(f"class {c} recall {r:.4f}")

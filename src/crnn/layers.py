@@ -7,6 +7,11 @@ sequence per feature.  Trailing frames that do not fill a window are
 dropped, and the recurrent extractors restart from zero state in every
 window, so window w's features depend only on the frames inside w.
 
+A (k, l, B) stack of B equal-length sequences gives an (n, l', B) stack.
+Because every window starts from zero state, the windows of all B
+sequences run through the extractor as one batch; pooling stays inside
+each sequence.
+
 Extractor kinds:
 
 ``conv``            per-feature inner product with the whole window plus
@@ -52,7 +57,7 @@ from .framing import (
     stack_windows,
     window_count,
 )
-from .numerics import ACTIVATIONS, Rng, as_matrix, init_params
+from .numerics import ACTIVATIONS, Rng, as_sequences, init_params
 
 KINDS = ("conv", "clstm", "extended_clstm", "cblstm")
 SOURCES = ("hidden", "cell", "output")
@@ -148,10 +153,6 @@ def init_layer(config: CrnnLayerConfig, input_dim: int, rng: Rng):
     return ClstmParams(lstm=lstm, proj=proj)
 
 
-def layer_output_dim(config: CrnnLayerConfig) -> int:
-    return config.features
-
-
 def min_input_length(config: CrnnLayerConfig) -> int:
     """Shortest input that still yields one output column."""
     need = config.pool.width if config.pool is not None else 1
@@ -168,8 +169,8 @@ def output_length(config: CrnnLayerConfig, length: int) -> int:
 @dataclass
 class LayerTrace:
     length: int                          # input frame count
-    windows: np.ndarray                  # (width, k, count)
-    prepool: np.ndarray                  # features before pooling (n, count)
+    windows: np.ndarray                  # (width, k, count * B), window-major
+    prepool: np.ndarray                  # features before pooling (n, count[, B])
     conv_preact: np.ndarray | None = None
     cell_trace: LstmTrace | None = None
     bwd_trace: LstmTrace | None = None   # cblstm only
@@ -204,13 +205,15 @@ def _reduce_backward(dvals: np.ndarray, reduction: str, steps: int,
 
 def layer_forward(config: CrnnLayerConfig, params, x: np.ndarray
                   ) -> tuple[np.ndarray, LayerTrace]:
-    """Apply one layer to a k-by-l sequence; returns (n-by-l' output, trace)."""
-    x = as_matrix(x)
-    length = x.shape[1]
+    """Apply one layer to a k-by-l sequence (or a (k, l, B) stack); returns
+    (n-by-l' output (or (n, l', B) stack), trace)."""
+    x = as_sequences(x)
+    k, length = x.shape[:2]
     if window_count(length, config.window) < 1:
         raise SequenceTooShortError(
             f"{length} frames cannot fill a window of width {config.window.width}")
-    xw = stack_windows(x, config.window)
+    windows = stack_windows(x, config.window)
+    xw = windows.reshape(config.window.width, k, -1)
 
     trace = LayerTrace(length=length, windows=xw, prepool=None)
     if config.kind == "conv":
@@ -233,6 +236,7 @@ def layer_forward(config: CrnnLayerConfig, params, x: np.ndarray
             trace.proj_seq = seq
         feats, trace.time_argmax = _reduce(seq, config.reduction)
 
+    feats = feats.reshape((feats.shape[0],) + windows.shape[2:])
     trace.prepool = feats
     if config.pool is None:
         return feats, trace
@@ -257,9 +261,10 @@ def layer_backward(config: CrnnLayerConfig, params, trace: LayerTrace,
         dfeats = np.asarray(dout, dtype=np.float64)
 
     xw = trace.windows
-    steps = xw.shape[0]
+    steps, k, cols = xw.shape
+    dfeats = dfeats.reshape(-1, cols)
     if config.kind == "conv":
-        f = trace.prepool
+        f = trace.prepool.reshape(-1, cols)
         act = config.activation
         if act == "sigmoid":
             dz = dfeats * f * (1.0 - f)
@@ -285,6 +290,7 @@ def layer_backward(config: CrnnLayerConfig, params, trace: LayerTrace,
         lstm_grads, dxw = lstm_backward(params.lstm, trace.cell_trace, **{key: dseq})
         grads = ClstmParams(lstm=lstm_grads, proj=proj_grads)
 
+    dxw = dxw.reshape((steps, k) + trace.prepool.shape[1:])
     dx = scatter_windows_add(dxw, config.window, trace.length)
     return grads, dx
 

@@ -13,6 +13,11 @@ The per-step class distributions are averaged (over all steps, or only
 the last few) and the prediction is the argmax of the average.  The
 backward pass mirrors the forward exactly and is verified against finite
 differences in the test suite.
+
+The input is one k-by-l sequence or a (k, l, B) stack of B equal-length
+sequences.  A stack runs as one batch through every layer: the head reads
+a (T, k', B) sequence stack, and the dense and softmax layers see T*B
+columns, t-major.  Averaging and everything after it stay per sequence.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .layers import (
     softmax_backward,
     softmax_columns,
 )
-from .numerics import Rng, as_matrix
+from .numerics import Rng, as_sequences
 
 CLASSIFIERS = ("lstm", "blstm")
 AGGREGATIONS = ("all", "last")
@@ -122,41 +127,53 @@ def min_sequence_length(config: ModelConfig) -> int:
 @dataclass
 class ModelTrace:
     layer_traces: list[LayerTrace] = field(default_factory=list)
-    features: np.ndarray | None = None      # classifier input (k', T)
+    features: np.ndarray | None = None      # classifier input (k', T[, B])
     cls_trace: LstmTrace | None = None
     cls_bwd_trace: LstmTrace | None = None  # blstm head only
-    hidden: np.ndarray | None = None        # lstm head: hidden sequence (m, T)
-    dense_pre: np.ndarray | None = None     # pre-ReLU activations (dense_dim, T)
-    acts: np.ndarray | None = None          # post-ReLU (dense_dim, T)
-    probs: np.ndarray | None = None         # per-step distributions (C, T)
+    hidden: np.ndarray | None = None        # lstm head: hidden columns (m, T*B)
+    dense_pre: np.ndarray | None = None     # pre-ReLU activations (dense_dim, T*B)
+    acts: np.ndarray | None = None          # post-ReLU (dense_dim, T*B)
+    probs: np.ndarray | None = None         # per-step distributions (C, T[, B])
     sel: slice = field(default_factory=lambda: slice(None))
     probs_mean: np.ndarray | None = None
 
 
+def _columns(seq: np.ndarray) -> np.ndarray:
+    """(T, n, B) sequence stack -> (n, T*B) columns, t-major."""
+    return seq.transpose(1, 0, 2).reshape(seq.shape[1], -1)
+
+
+def _steps(cols: np.ndarray, steps: int) -> np.ndarray:
+    """Inverse of ``_columns``."""
+    return cols.reshape(cols.shape[0], steps, -1).transpose(1, 0, 2)
+
+
 def model_forward(config: ModelConfig, params: ModelParams, x: np.ndarray
                   ) -> tuple[np.ndarray, ModelTrace]:
-    """Averaged class distribution for one k-by-l sequence, plus the trace
-    the backward pass consumes."""
-    feats = as_matrix(x)
+    """Averaged class distribution for one k-by-l sequence (shape (C,)) or
+    for each of a (k, l, B) stack (shape (C, B)), plus the trace the
+    backward pass consumes."""
+    feats = as_sequences(x)
     trace = ModelTrace()
     for lc, lp in zip(config.layers, params.layers):
         feats, ltr = layer_forward(lc, lp, feats)
         trace.layer_traces.append(ltr)
     trace.features = feats
+    k, steps = feats.shape[:2]
+    seq = feats.reshape(k, steps, -1).transpose(1, 0, 2)
 
     if config.classifier == "lstm":
-        ctr = lstm_forward(params.classifier, feats)
+        ctr = lstm_forward(params.classifier, seq)
         trace.cls_trace = ctr
-        trace.hidden = ctr.h_seq
+        trace.hidden = _columns(ctr.h)
         trace.acts, trace.dense_pre = dense_forward(params.dense, trace.hidden, "relu")
     else:
-        y, trace.cls_trace, trace.cls_bwd_trace = blstm_forward(params.classifier, feats)
-        trace.dense_pre = y
-        trace.acts = np.maximum(y, 0.0)
+        y, trace.cls_trace, trace.cls_bwd_trace = blstm_forward(params.classifier, seq)
+        trace.dense_pre = _columns(y)
+        trace.acts = np.maximum(trace.dense_pre, 0.0)
 
     logits = params.softmax.W @ trace.acts + params.softmax.b[:, None]
-    trace.probs = softmax_columns(logits)
-    steps = trace.probs.shape[1]
+    trace.probs = softmax_columns(logits).reshape((-1,) + feats.shape[1:])
     if config.aggregation == "last":
         trace.sel = slice(max(0, steps - config.aggregation_steps), steps)
     else:
@@ -167,16 +184,18 @@ def model_forward(config: ModelConfig, params: ModelParams, x: np.ndarray
 
 def model_backward(config: ModelConfig, params: ModelParams, trace: ModelTrace,
                    dprobs_mean: np.ndarray) -> tuple[ModelParams, np.ndarray]:
-    """Gradients of a scalar loss given d(loss)/d(averaged distribution).
+    """Gradients of a scalar loss given d(loss)/d(averaged distribution),
+    shaped like the ``model_forward`` result.
 
     Returns parameter gradients shaped like ``params`` and the gradient
-    with respect to the model input sequence.
+    with respect to the model input.
     """
     probs = trace.probs
+    classes, steps = probs.shape[:2]
     dprobs = np.zeros_like(probs)
     ncols = trace.sel.stop - trace.sel.start
     dprobs[:, trace.sel] = np.asarray(dprobs_mean, float)[:, None] / ncols
-    dlogits = softmax_backward(probs, dprobs)
+    dlogits = softmax_backward(probs.reshape(classes, -1), dprobs.reshape(classes, -1))
 
     g_softmax = DenseParams(W=dlogits @ trace.acts.T, b=dlogits.sum(axis=1))
     dacts = params.softmax.W.T @ dlogits
@@ -184,12 +203,14 @@ def model_backward(config: ModelConfig, params: ModelParams, trace: ModelTrace,
     if config.classifier == "lstm":
         g_dense, dhidden = dense_backward(params.dense, trace.hidden,
                                           trace.dense_pre, dacts, "relu")
-        g_cls, dfeats = lstm_backward(params.classifier, trace.cls_trace, dh=dhidden)
+        g_cls, dseq = lstm_backward(params.classifier, trace.cls_trace,
+                                    dh=_steps(dhidden, steps))
     else:
         g_dense = None
         dy = dacts * (trace.dense_pre > 0.0)
-        g_cls, dfeats = blstm_backward(params.classifier, trace.cls_trace,
-                                       trace.cls_bwd_trace, dy)
+        g_cls, dseq = blstm_backward(params.classifier, trace.cls_trace,
+                                     trace.cls_bwd_trace, _steps(dy, steps))
+    dfeats = dseq.transpose(1, 0, 2).reshape(trace.features.shape)
 
     g_layers = [None] * len(params.layers)
     for i in reversed(range(len(params.layers))):
@@ -207,6 +228,7 @@ def predict_proba(config: ModelConfig, params: ModelParams, x: np.ndarray) -> np
 
 
 def predict(config: ModelConfig, params: ModelParams, x: np.ndarray) -> int:
+    """Predicted class of one k-by-l sequence."""
     return int(np.argmax(predict_proba(config, params, x)))
 
 

@@ -25,6 +25,15 @@ def as_matrix(data) -> np.ndarray:
     return m
 
 
+def as_sequences(data) -> np.ndarray:
+    """Coerce a k-by-l sequence, or a (k, l, B) stack of B equal-length
+    sequences, to a C-ordered float64 array."""
+    m = np.ascontiguousarray(data, dtype=np.float64)
+    if m.ndim not in (2, 3):
+        raise ShapeError(f"expected a k-by-l sequence or a (k, l, B) stack, got shape {m.shape}")
+    return m
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with shape validation and double accumulation."""
     a = as_matrix(a)

@@ -2,8 +2,12 @@
 
 The loss is cross-entropy of the *averaged* per-step class distribution
 (one scalar per example); a mini-batch gradient is the arithmetic mean of
-the per-example gradients, accumulated in example-index order so results
-are bit-identical run to run.
+the per-example gradients.  The examples of a mini-batch that share a frame
+count run as one batched forward/backward pass, and the groups' summed
+gradients are added in order of each group's first example in the
+shuffled batch, so results are bit-identical run to run.  Evaluation
+batches each frame count the same way, in chunks of the training batch
+size.
 
 Adam defaults to lr=0.002, beta1=0.1, beta2=0.001.  Those decay rates are
 far smaller than the usual 0.9/0.999, which makes the moment estimates
@@ -42,21 +46,27 @@ class NumericError(RuntimeError):
     """A computation produced a non-finite value or failed verification."""
 
 
-def cross_entropy(probs: np.ndarray, label: int) -> float:
-    """-ln(probs[label]); probs is one probability vector."""
+def cross_entropy(probs: np.ndarray, label) -> float:
+    """-ln(probs[label]) for one probability vector and its label, or the
+    sum over the columns of a (C, B) stack given B labels."""
     probs = np.asarray(probs, dtype=np.float64)
-    if not 0 <= label < probs.shape[0]:
+    labels = np.asarray(label)
+    if np.any(labels < 0) or np.any(labels >= probs.shape[0]):
         raise ValueError(f"label {label} out of range for {probs.shape[0]} classes")
-    return float(-np.log(probs[label]))
+    return float(-np.log(np.take_along_axis(probs, labels[None], axis=0)).sum())
 
 
 def loss_gradients(config: ModelConfig, params: ModelParams, x: np.ndarray,
-                   label: int) -> tuple[float, ModelParams]:
-    """Cross-entropy loss of one example and its exact parameter gradients."""
+                   label) -> tuple[float, ModelParams]:
+    """Cross-entropy loss and its exact parameter gradients, for one k-by-l
+    example and its label, or summed over a (k, l, B) stack of equal-length
+    examples given their B labels."""
     probs_mean, trace = model_forward(config, params, x)
     loss = cross_entropy(probs_mean, label)
+    labels = np.asarray(label)[None]
     dprobs_mean = np.zeros_like(probs_mean)
-    dprobs_mean[label] = -1.0 / probs_mean[label]
+    np.put_along_axis(dprobs_mean, labels,
+                      -1.0 / np.take_along_axis(probs_mean, labels, axis=0), axis=0)
     grads, _ = model_backward(config, params, trace, dprobs_mean)
     return loss, grads
 
@@ -149,12 +159,32 @@ class EvalResult:
     predictions: list[int]
 
 
-def evaluate(config: ModelConfig, params: ModelParams, dataset) -> EvalResult:
-    preds = []
-    for ex in dataset.examples:
-        probs, _ = model_forward(config, params, ex.features)
-        preds.append(int(np.argmax(probs)))
-    labels = [ex.label for ex in dataset.examples]
+def _length_groups(examples, indices) -> list[list[int]]:
+    """Split example indices into groups of equal frame count, each group
+    in the given order, groups ordered by their first member."""
+    groups: dict[int, list[int]] = {}
+    for j in indices:
+        groups.setdefault(examples[j].features.shape[1], []).append(int(j))
+    return list(groups.values())
+
+
+def _stack(examples, group: list[int]) -> np.ndarray:
+    return np.stack([examples[j].features for j in group], axis=2)
+
+
+def evaluate(config: ModelConfig, params: ModelParams, dataset,
+             batch_size: int = TrainConfig.batch_size) -> EvalResult:
+    """Predict every example, running equal-length examples together in
+    chunks of ``batch_size``."""
+    examples = dataset.examples
+    preds = [0] * len(examples)
+    for group in _length_groups(examples, range(len(examples))):
+        for lo in range(0, len(group), batch_size):
+            chunk = group[lo:lo + batch_size]
+            probs, _ = model_forward(config, params, _stack(examples, chunk))
+            for j, pred in zip(chunk, np.argmax(probs, axis=0)):
+                preds[j] = int(pred)
+    labels = [ex.label for ex in examples]
     return EvalResult(ua_recall=ua_recall(preds, labels, config.num_classes),
                       per_class=per_class_recall(preds, labels, config.num_classes),
                       predictions=preds)
@@ -218,23 +248,26 @@ def train(config: ModelConfig, tc: TrainConfig, train_set, val_set,
         started = time.perf_counter()
         order = shuffle_rng.permutation(len(examples))
         total_loss = 0.0
-        for lo in range(0, len(order), tc.batch_size):
+        for number, lo in enumerate(range(0, len(order), tc.batch_size), start=1):
             batch = order[lo:lo + tc.batch_size]
             acc = zeros_like_tree(params)
-            for j in batch:
-                ex = examples[int(j)]
-                loss, grads = loss_gradients(config, params, ex.features, ex.label)
+            for group in _length_groups(examples, batch):
+                loss, grads = loss_gradients(config, params, _stack(examples, group),
+                                             [examples[j].label for j in group])
                 total_loss += loss
                 _add_grads(acc, grads)
             scale = 1.0 / len(batch)
-            for _, a in named_arrays(acc):
+            for name, a in named_arrays(acc):
                 a *= scale
+                if not np.all(np.isfinite(a)):
+                    raise NumericError(f"non-finite gradient in {name} at epoch "
+                                       f"{epoch}, batch {number}")
             adam_step(adam, params, acc)
         train_loss = total_loss / len(examples)
         if not math.isfinite(train_loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}")
 
-        metric = evaluate(config, params, val_set).ua_recall
+        metric = evaluate(config, params, val_set, tc.batch_size).ua_recall
         history.append(EpochRecord(epoch=epoch, train_loss=train_loss,
                                    val_ua_recall=metric))
         if metric > best_metric:

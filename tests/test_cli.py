@@ -118,6 +118,18 @@ class TestTrain:
         assert cli.main(["train", "--config", str(cfg)]) == 3
         assert "error: data:" in capsys.readouterr().err
 
+    def test_non_finite_gradient_is_numeric_error(self, tmp_path, capsys):
+        train_tsv = write_split(tmp_path, "train", 16, seed=1)
+        val_tsv = write_split(tmp_path, "val", 8, seed=2)
+        bad = read_features(tmp_path / "train0003.txt")
+        bad[0, 4] = np.nan
+        write_features(tmp_path / "train0003.txt", bad)
+        cfg = write_run_config(tmp_path, train_tsv, val_tsv)
+        assert cli.main(["train", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "error: numeric: non-finite gradient in layers.0.lstm.W_xi at epoch 1" in err
+        assert not (tmp_path / "out" / "model.bin").exists()
+
 
 class TestEval:
     def test_reports_recalls(self, trained, capsys):
