@@ -13,18 +13,14 @@ from .cells import (
     BlstmParams,
     ExtendedLstmParams,
     LstmParams,
-    RnnParams,
     blstm_backward,
     blstm_forward,
     init_blstm,
     init_extended_lstm,
     init_lstm,
-    init_rnn,
     lstm_backward,
     lstm_forward,
     lstm_step,
-    rnn_backward,
-    rnn_forward,
 )
 from .config import ConfigError, RunConfig, parse_config, parse_config_text, render_config
 from .data import (

@@ -1,10 +1,6 @@
 """Recurrent cell math with exact reverse-mode gradients.
 
-Three cells, all starting from zero state, features as column vectors:
-
-simple sigmoid RNN
-    h_t = sigmoid(W_xh x_t + W_hh h_{t-1} + b_h)
-    y_t = W_hy h_t + b_y
+Two cells, both starting from zero state, features as column vectors:
 
 peephole LSTM
     i_t = sigmoid(W_xi x_t + W_hi h_{t-1} + W_ci c_{t-1} + b_i)
@@ -25,11 +21,12 @@ from o_t into c_t before the cell gradient fans out to the other gates.
 All backward passes are hand-derived; the test suite pins them against
 central finite differences.
 
-Sequences may be passed as a single k-by-l matrix (one column per frame)
-or as a (T, k, B) stack of B equal-length sequences, which is how layers
-run one cell over every window of a sequence at once.  Gradient bundles
-reuse the parameter dataclasses: a returned ``LstmParams`` holds d(loss)/
-d(parameter) in each field.
+Every sequence is a (T, k, B) stack of B equal-length sequences: step t
+is a k-by-B block of column vectors.  Layers run one cell over every
+window of a sequence at once this way; one sequence is a batch of one
+(``x.T[:, :, None]``).  States, outputs and their gradients keep the
+same layout.  Gradient bundles reuse the parameter dataclasses: a
+returned ``LstmParams`` holds d(loss)/d(parameter) in each field.
 """
 
 from __future__ import annotations
@@ -39,19 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import Rng, ShapeError, init_params, sigmoid
-
-
-@dataclass
-class RnnParams:
-    W_xh: np.ndarray
-    W_hh: np.ndarray
-    W_hy: np.ndarray
-    b_h: np.ndarray
-    b_y: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.W_hh.shape[0]
 
 
 @dataclass
@@ -109,16 +93,6 @@ class BlstmParams:
         return self.W_fy.shape[0]
 
 
-def init_rnn(input_dim: int, hidden_dim: int, out_dim: int, rng: Rng) -> RnnParams:
-    return RnnParams(
-        W_xh=init_params((hidden_dim, input_dim), rng),
-        W_hh=init_params((hidden_dim, hidden_dim), rng),
-        W_hy=init_params((out_dim, hidden_dim), rng),
-        b_h=np.zeros(hidden_dim),
-        b_y=np.zeros(out_dim),
-    )
-
-
 def init_lstm(input_dim: int, hidden_dim: int, rng: Rng) -> LstmParams:
     n, k = hidden_dim, input_dim
     return LstmParams(
@@ -165,30 +139,21 @@ def init_blstm(input_dim: int, hidden_dim: int, out_dim: int, rng: Rng,
 # ---------------------------------------------------------------------------
 # Sequence layout helpers.
 
-def _to_steps(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Normalize a sequence to (T, k, B).  2-D k-by-l input becomes a
-    batch of one; 3-D input passes through."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        return np.ascontiguousarray(x.T)[:, :, None], True
-    if x.ndim == 3:
-        return np.ascontiguousarray(x), False
-    raise ShapeError(f"sequence must be 2-D or 3-D, got shape {x.shape}")
+def _to_steps(x: np.ndarray) -> np.ndarray:
+    """Coerce a (T, k, B) stack to C-ordered float64."""
+    xs = np.ascontiguousarray(x, dtype=np.float64)
+    if xs.ndim != 3:
+        raise ShapeError(f"sequence must be a (T, k, B) stack, got shape {xs.shape}")
+    return xs
 
 
-def _from_steps(xs: np.ndarray, single: bool) -> np.ndarray:
-    return np.ascontiguousarray(xs[:, :, 0].T) if single else xs
-
-
-def _upstream(d, like: np.ndarray, single: bool) -> np.ndarray:
-    """Normalize an upstream gradient to the (T, n, B) trace layout."""
+def _upstream(d, shape: tuple[int, ...]) -> np.ndarray:
+    """An upstream gradient in the trace layout; None stands for zero."""
     if d is None:
-        return np.zeros_like(like)
+        return np.zeros(shape)
     d = np.asarray(d, dtype=np.float64)
-    if single and d.ndim == 2:
-        d = d.T[:, :, None]
-    if d.shape != like.shape:
-        raise ShapeError(f"upstream gradient shape {d.shape} does not match trace {like.shape}")
+    if d.shape != shape:
+        raise ShapeError(f"upstream gradient shape {d.shape} does not match trace {shape}")
     return d
 
 
@@ -202,105 +167,30 @@ def _sum_td(d: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Simple RNN.
-
-@dataclass
-class RnnTrace:
-    x: np.ndarray   # (T, k, B)
-    h: np.ndarray   # (T, n, B)
-    y: np.ndarray   # (T, d, B)
-    single: bool
-
-    @property
-    def h_seq(self) -> np.ndarray:
-        return self.h[:, :, 0].T
-
-    @property
-    def y_seq(self) -> np.ndarray:
-        return self.y[:, :, 0].T
-
-
-def rnn_forward(p: RnnParams, x: np.ndarray) -> RnnTrace:
-    """Run the sigmoid RNN from zero state; returns hidden and output
-    sequences (as a k-by-l pair of matrices for 2-D input)."""
-    xs, single = _to_steps(x)
-    T, _, B = xs.shape
-    n = p.n
-    H = np.empty((T, n, B))
-    h = np.zeros((n, B))
-    for t in range(T):
-        h = sigmoid((p.W_xh @ xs[t] + _col(p.b_h)) + p.W_hh @ h)
-        H[t] = h
-    Y = np.matmul(p.W_hy, H) + p.b_y[None, :, None]
-    return RnnTrace(x=xs, h=H, y=Y, single=single)
-
-
-def rnn_backward(p: RnnParams, trace: RnnTrace, dh=None, dy=None
-                 ) -> tuple[RnnParams, np.ndarray]:
-    """Gradients of a scalar loss given upstream d(loss)/dh and/or /dy."""
-    T, n, B = trace.h.shape
-    dH = _upstream(dh, trace.h, trace.single)
-    dY = _upstream(dy, trace.y, trace.single)
-
-    gW_hy = _sum_td(dY, trace.h)
-    gb_y = dY.sum(axis=(0, 2))
-    dH = dH + np.matmul(p.W_hy.T, dY)
-
-    H_prev = np.concatenate([np.zeros((1, n, B)), trace.h[:-1]], axis=0)
-    dA = np.empty((T, n, B))
-    carry = np.zeros((n, B))
-    for t in reversed(range(T)):
-        h = trace.h[t]
-        dA[t] = (dH[t] + carry) * h * (1.0 - h)
-        carry = p.W_hh.T @ dA[t]
-
-    grads = RnnParams(
-        W_xh=_sum_td(dA, trace.x),
-        W_hh=_sum_td(dA, H_prev),
-        W_hy=gW_hy,
-        b_h=dA.sum(axis=(0, 2)),
-        b_y=gb_y,
-    )
-    dxs = np.matmul(p.W_xh.T, dA)
-    return grads, _from_steps(dxs, trace.single)
-
-
-# ---------------------------------------------------------------------------
 # Peephole LSTM.
+
+# the per-step arrays _lstm_gates returns, in order
+_STATES = ("i", "f", "g", "o", "c", "tanh_c", "h")
+
 
 @dataclass
 class LstmTrace:
-    """Everything the backward pass needs, one (T, n, B) array per item."""
+    """Everything the backward pass needs: the (T, k, B) input and one
+    (T, n, B) array per state."""
     x: np.ndarray
-    preact_i: np.ndarray
-    preact_f: np.ndarray
-    preact_c: np.ndarray
-    preact_o: np.ndarray
     i: np.ndarray
     f: np.ndarray
-    g: np.ndarray       # tanh(preact_c), the candidate cell update
+    g: np.ndarray       # tanh of the cell input, the candidate cell update
     o: np.ndarray
     c: np.ndarray
     h: np.ndarray
     tanh_c: np.ndarray
-    single: bool
-
-    @property
-    def length(self) -> int:
-        return self.h.shape[0]
-
-    @property
-    def h_seq(self) -> np.ndarray:
-        return self.h[:, :, 0].T
-
-    @property
-    def c_seq(self) -> np.ndarray:
-        return self.c[:, :, 0].T
 
 
 def _lstm_gates(wx, p, x_t, h_prev, c_prev):
     """One LSTM step on column batches; wx holds this frame's four input
-    matrices (constant for a plain LSTM, per-frame for the extended one)."""
+    matrices (constant for a plain LSTM, per-frame for the extended one).
+    Returns the arrays named in ``_STATES``."""
     wxi, wxf, wxc, wxo = wx
     a_i = (wxi @ x_t + _col(p.b_i)) + p.W_hi @ h_prev + p.W_ci @ c_prev
     a_f = (wxf @ x_t + _col(p.b_f)) + p.W_hf @ h_prev + p.W_cf @ c_prev
@@ -313,7 +203,7 @@ def _lstm_gates(wx, p, x_t, h_prev, c_prev):
     o = sigmoid(a_o)
     tc = np.tanh(c)
     h = o * tc
-    return a_i, a_f, a_c, a_o, i, f, g, o, c, tc, h
+    return i, f, g, o, c, tc, h
 
 
 def _frame_weights(p: LstmParams, t: int):
@@ -324,59 +214,47 @@ def _frame_weights(p: LstmParams, t: int):
 
 def lstm_step(p: LstmParams, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Single step; accepts 1-D vectors or column batches.  The cache maps
-    gate names to their activations and pre-activations."""
+    """Single step on a (k, B) input and (n, B) states.  The cache maps
+    gate names to their (n, B) activations."""
     x_t = np.asarray(x_t, dtype=np.float64)
-    squeeze = x_t.ndim == 1
-    if squeeze:
-        x_t, h_prev, c_prev = _col(x_t), _col(np.asarray(h_prev, float)), _col(np.asarray(c_prev, float))
-    vals = _lstm_gates((p.W_xi, p.W_xf, p.W_xc, p.W_xo), p, x_t, h_prev, c_prev)
-    a_i, a_f, a_c, a_o, i, f, g, o, c, tc, h = vals
-    cache = {"preact_i": a_i, "preact_f": a_f, "preact_c": a_c, "preact_o": a_o,
-             "i": i, "f": f, "g": g, "o": o, "tanh_c": tc}
-    if squeeze:
-        h, c = h[:, 0], c[:, 0]
-        cache = {k: v[:, 0] for k, v in cache.items()}
-    return h, c, cache
+    if x_t.ndim != 2 or np.ndim(h_prev) != 2 or np.ndim(c_prev) != 2:
+        raise ShapeError(f"lstm_step takes (k, B) input and (n, B) states, got shapes "
+                         f"{x_t.shape}, {np.shape(h_prev)} and {np.shape(c_prev)}")
+    i, f, g, o, c, tc, h = _lstm_gates((p.W_xi, p.W_xf, p.W_xc, p.W_xo), p,
+                                       x_t, h_prev, c_prev)
+    return h, c, {"i": i, "f": f, "g": g, "o": o, "tanh_c": tc}
 
 
 def lstm_forward(p: LstmParams, x: np.ndarray) -> LstmTrace:
-    """Iterate the cell from h_0 = c_0 = 0 over a sequence or a stack of
-    equal-length sequences."""
-    xs, single = _to_steps(x)
+    """Iterate the cell from h_0 = c_0 = 0 over a (T, k, B) stack."""
+    xs = _to_steps(x)
     T, _, B = xs.shape
     if isinstance(p, ExtendedLstmParams) and T != p.width:
         raise ShapeError(
             f"extended LSTM has per-frame weights for width {p.width}, got length {T}")
     n = p.n
-    arrs = {name: np.empty((T, n, B)) for name in
-            ("preact_i", "preact_f", "preact_c", "preact_o",
-             "i", "f", "g", "o", "c", "h", "tanh_c")}
+    arrs = {name: np.empty((T, n, B)) for name in _STATES}
     h = np.zeros((n, B))
     c = np.zeros((n, B))
     for t in range(T):
-        vals = _lstm_gates(_frame_weights(p, t), p, xs[t], h, c)
-        for name, v in zip(("preact_i", "preact_f", "preact_c", "preact_o",
-                            "i", "f", "g", "o", "c", "tanh_c", "h"),
-                           (vals[0], vals[1], vals[2], vals[3], vals[4], vals[5],
-                            vals[6], vals[7], vals[8], vals[9], vals[10])):
+        for name, v in zip(_STATES, _lstm_gates(_frame_weights(p, t), p, xs[t], h, c)):
             arrs[name][t] = v
         h = arrs["h"][t]
         c = arrs["c"][t]
-    return LstmTrace(x=xs, single=single, **arrs)
+    return LstmTrace(x=xs, **arrs)
 
 
 def lstm_backward(p: LstmParams, trace: LstmTrace, dh=None, dc=None
                   ) -> tuple[LstmParams, np.ndarray]:
     """Reverse-mode gradients through the full recurrence.
 
-    dh and dc are the loss gradients with respect to the hidden and cell
-    sequences (either may be omitted).  Returns a gradient bundle shaped
-    like ``p`` and the gradient with respect to the input sequence.
+    dh and dc are the (T, n, B) loss gradients with respect to the hidden
+    and cell sequences (either may be omitted).  Returns a gradient bundle
+    shaped like ``p`` and the (T, k, B) gradient with respect to the input.
     """
     T, n, B = trace.h.shape
-    dH = _upstream(dh, trace.h, trace.single)
-    dC = _upstream(dc, trace.c, trace.single)
+    dH = _upstream(dh, trace.h.shape)
+    dC = _upstream(dc, trace.c.shape)
 
     H_prev = np.concatenate([np.zeros((1, n, B)), trace.h[:-1]], axis=0)
     C_prev = np.concatenate([np.zeros((1, n, B)), trace.c[:-1]], axis=0)
@@ -434,7 +312,7 @@ def lstm_backward(p: LstmParams, trace: LstmTrace, dh=None, dc=None
         b_i=dA_i.sum(axis=(0, 2)), b_f=dA_f.sum(axis=(0, 2)),
         b_c=dA_c.sum(axis=(0, 2)), b_o=dA_o.sum(axis=(0, 2)),
     )
-    return grads, _from_steps(dxs, trace.single)
+    return grads, dxs
 
 
 # ---------------------------------------------------------------------------
@@ -448,23 +326,22 @@ def _blstm_states(p: BlstmParams, fwd_trace: LstmTrace, bwd_trace: LstmTrace):
 
 def blstm_forward(p: BlstmParams, x: np.ndarray
                   ) -> tuple[np.ndarray, LstmTrace, LstmTrace]:
-    """Both directions from zero state plus the learned combination of
-    their hidden (or cell) sequences."""
-    xs, single = _to_steps(x)
+    """Both directions from zero state over a (T, k, B) stack plus the
+    learned (T, d, B) combination of their hidden (or cell) sequences."""
+    xs = _to_steps(x)
     fwd_trace = lstm_forward(p.fwd, xs)
     bwd_trace = lstm_forward(p.bwd, np.ascontiguousarray(xs[::-1]))
     s_f, s_b = _blstm_states(p, fwd_trace, bwd_trace)
     y = np.matmul(p.W_fy, s_f) + np.matmul(p.W_by, s_b) + p.b_y[None, :, None]
-    return _from_steps(y, single), fwd_trace, bwd_trace
+    return y, fwd_trace, bwd_trace
 
 
 def blstm_backward(p: BlstmParams, fwd_trace: LstmTrace, bwd_trace: LstmTrace,
                    dy: np.ndarray) -> tuple[BlstmParams, np.ndarray]:
-    """Gradients through the combination and both recurrences."""
-    dy = np.asarray(dy, dtype=np.float64)
-    single = dy.ndim == 2
-    if single:
-        dy = dy.T[:, :, None]
+    """Gradients through the combination and both recurrences, given the
+    (T, d, B) upstream gradient of the combined output."""
+    T, _, B = fwd_trace.h.shape
+    dy = _upstream(dy, (T, p.out_dim, B))
     s_f, s_b = _blstm_states(p, fwd_trace, bwd_trace)
 
     gW_fy = _sum_td(dy, s_f)
@@ -480,4 +357,4 @@ def blstm_backward(p: BlstmParams, fwd_trace: LstmTrace, bwd_trace: LstmTrace,
 
     grads = BlstmParams(fwd=g_f, bwd=g_b, W_fy=gW_fy, W_by=gW_by, b_y=gb_y,
                         source=p.source)
-    return grads, _from_steps(dxs, single)
+    return grads, dxs

@@ -366,12 +366,10 @@ def read_features(path) -> np.ndarray:
     return m
 
 
-def read_manifest(path, num_classes: int | None = None) -> Dataset:
-    """Line format: <feature-file>\\t<label>\\t<group>; paths resolve
-    relative to the manifest's directory."""
-    path = Path(path)
-    base = path.parent
-    examples: list[SequenceExample] = []
+def _manifest_rows(path: Path, kind: str):
+    """Yield (relative path, resolved path, label, group) per entry of a
+    <file>\\t<label>\\t<group> manifest; blank and # lines are skipped and
+    paths resolve relative to the manifest's directory."""
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -385,11 +383,19 @@ def read_manifest(path, num_classes: int | None = None) -> Dataset:
             label = int(label_s)
         except ValueError:
             raise DataError(f"{path}:{lineno}: label {label_s!r} is not an integer") from None
-        fpath = (base / rel) if not Path(rel).is_absolute() else Path(rel)
+        fpath = path.parent / rel   # an absolute rel replaces the base
         if not fpath.exists():
-            raise DataError(f"{path}:{lineno}: feature file {fpath} does not exist")
-        examples.append(SequenceExample(features=read_features(fpath), label=label,
-                                        group=group, source_id=rel))
+            raise DataError(f"{path}:{lineno}: {kind} file {fpath} does not exist")
+        yield rel, fpath, label, group
+
+
+def read_manifest(path, num_classes: int | None = None) -> Dataset:
+    """Line format: <feature-file>\\t<label>\\t<group>; paths resolve
+    relative to the manifest's directory."""
+    path = Path(path)
+    examples = [SequenceExample(features=read_features(fpath), label=label,
+                                group=group, source_id=rel)
+                for rel, fpath, label, group in _manifest_rows(path, "feature")]
     if not examples:
         raise DataError(f"{path}: manifest lists no examples")
     if num_classes is None:
@@ -400,25 +406,7 @@ def read_manifest(path, num_classes: int | None = None) -> Dataset:
 def read_audio_manifest(path) -> list[tuple[Path, int, str]]:
     """Manifest of WAV files: <wav-path>\\t<label>\\t<group> per line."""
     path = Path(path)
-    base = path.parent
-    entries: list[tuple[Path, int, str]] = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, "
-                            f"got {len(parts)}")
-        rel, label_s, group = parts
-        try:
-            label = int(label_s)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: label {label_s!r} is not an integer") from None
-        wav = (base / rel) if not Path(rel).is_absolute() else Path(rel)
-        if not wav.exists():
-            raise DataError(f"{path}:{lineno}: audio file {wav} does not exist")
-        entries.append((wav, label, group))
+    entries = [(wav, label, group) for _, wav, label, group in _manifest_rows(path, "audio")]
     if not entries:
         raise DataError(f"{path}: manifest lists no files")
     return entries

@@ -153,12 +153,6 @@ def init_layer(config: CrnnLayerConfig, input_dim: int, rng: Rng):
     return ClstmParams(lstm=lstm, proj=proj)
 
 
-def min_input_length(config: CrnnLayerConfig) -> int:
-    """Shortest input that still yields one output column."""
-    need = config.pool.width if config.pool is not None else 1
-    return (need - 1) * config.window.shift + config.window.width
-
-
 def output_length(config: CrnnLayerConfig, length: int) -> int:
     cols = window_count(length, config.window)
     if config.pool is not None:

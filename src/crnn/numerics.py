@@ -1,4 +1,4 @@
-"""Dense float64 linear algebra, scalar nonlinearities, deterministic RNG.
+"""Float64 array coercion, scalar nonlinearities, deterministic RNG.
 
 Everything here is pure: identical inputs give bit-identical outputs.
 Matrices are plain C-ordered float64 ``numpy.ndarray`` objects, features
@@ -34,15 +34,6 @@ def as_sequences(data) -> np.ndarray:
     return m
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with shape validation and double accumulation."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
     return expit(z)
 
@@ -56,15 +47,6 @@ ACTIVATIONS = {
     "tanh": np.tanh,
     "relu": relu,
 }
-
-
-def apply_activation(m: np.ndarray, kind: str) -> np.ndarray:
-    """Element-wise sigmoid, tanh or relu; shape preserved."""
-    try:
-        fn = ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}") from None
-    return fn(np.asarray(m, dtype=np.float64))
 
 
 def glorot_limit(rows: int, cols: int) -> float:

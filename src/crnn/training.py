@@ -311,7 +311,8 @@ def fd_check(loss_fn, params, analytic, step: float = 1e-5,
     values (``params`` is perturbed in place, one coordinate at a time);
     ``analytic`` is a tree of the same shape holding the gradients under
     test.  Coordinates whose relative error reaches ``threshold`` are
-    recorded as failures.
+    recorded as failures; a non-finite analytic or numerical gradient
+    counts as an infinite error.
     """
     per_param: dict[str, float] = {}
     failures: list[tuple[str, tuple, float]] = []
@@ -329,6 +330,8 @@ def fd_check(loss_fn, params, analytic, step: float = 1e-5,
             arr[idx] = saved
             fd = (up - down) / (2.0 * step)
             err = relative_error(float(g[idx]), fd)
+            if not math.isfinite(err):
+                err = math.inf   # NaN compares false against everything
             if err > local:
                 local = err
             if err >= threshold:

@@ -177,12 +177,13 @@ def test_criterion_05_reversal_symmetry():
         t = int(dims.integers(1, 9))
         source = "hidden" if case % 2 == 0 else "cell"
         p = init_blstm(k, n, n, rng.split(), source=source)
-        x = rng.split().normal(0.0, 1.0, (k, t))
-        y, _, _ = blstm_forward(p, x)
+        # one k-by-t sequence as a (t, k, 1) stack, a batch of one
+        xs = rng.split().normal(0.0, 1.0, (k, t)).T[:, :, None]
+        y, _, _ = blstm_forward(p, xs)
         swapped = BlstmParams(fwd=p.bwd, bwd=p.fwd, W_fy=p.W_by, W_by=p.W_fy,
                               b_y=p.b_y, source=p.source)
-        y_rev, _, _ = blstm_forward(swapped, np.ascontiguousarray(x[:, ::-1]))
-        np.testing.assert_array_equal(y_rev, y[:, ::-1])
+        y_rev, _, _ = blstm_forward(swapped, np.ascontiguousarray(xs[::-1]))
+        np.testing.assert_array_equal(y_rev, y[::-1])
     report(5, "100 random direction swaps reverse the output bit-exactly")
 
 
@@ -200,8 +201,8 @@ def test_criterion_06_whole_sequence_window():
         x = rng.split().normal(0.0, 1.0, (k, l))
         out, _ = layer_forward(config, params, x)
         assert out.shape == (n, 1)
-        trace = lstm_forward(params.lstm, x)
-        np.testing.assert_array_equal(out[:, 0], trace.h_seq[:, -1])
+        trace = lstm_forward(params.lstm, x.T[:, :, None])
+        np.testing.assert_array_equal(out[:, 0], trace.h[-1, :, 0])
     report(6, "50 whole-sequence windows equal the plain recurrence bit-exactly")
 
 

@@ -10,17 +10,24 @@ from crnn.cells import (
     init_blstm,
     init_extended_lstm,
     init_lstm,
-    init_rnn,
     lstm_backward,
     lstm_forward,
     lstm_step,
-    rnn_backward,
-    rnn_forward,
 )
 from crnn.numerics import Rng, ShapeError, named_arrays, zeros_like_tree
 from crnn.training import fd_check
 
 from fdtools import TOL
+
+
+def one(x) -> np.ndarray:
+    """A k-by-l matrix as a (l, k, 1) stack: one sequence, batch of one."""
+    return np.asarray(x, dtype=np.float64).T[:, :, None]
+
+
+def seq(a: np.ndarray) -> np.ndarray:
+    """The first sequence of a (T, n, B) stack as an n-by-T matrix."""
+    return a[:, :, 0].T
 
 
 def zero_lstm(n: int, k: int) -> LstmParams:
@@ -45,78 +52,41 @@ def accumulator_lstm(b_f: float = 100.0, b_c: float = 0.0) -> LstmParams:
     return p
 
 
-class TestRnnForward:
-    def test_scalar_recurrence(self):
-        # W_xh=2, W_hh=1, x=(1, 0): h1 = sigmoid(2), h2 = sigmoid(h1)
-        p = init_rnn(1, 1, 1, Rng(0))
-        p.W_xh[:] = 2.0
-        p.W_hh[:] = 1.0
-        p.W_hy[:] = 1.0
-        p.b_h[:] = 0.0
-        p.b_y[:] = 0.0
-        trace = rnn_forward(p, np.array([[1.0, 0.0]]))
-        h = trace.h_seq
-        assert h[0, 0] == pytest.approx(0.8808, abs=1e-4)
-        assert h[0, 1] == pytest.approx(0.7070, abs=1e-4)
-        assert h[0, 1] == pytest.approx(1.0 / (1.0 + np.exp(-h[0, 0])), abs=1e-15)
-        np.testing.assert_array_equal(trace.y_seq, h)
-
-    def test_zero_params_half_fixed_point(self):
-        p = init_rnn(2, 3, 2, Rng(0))
-        for _, arr in named_arrays(p):
-            arr[...] = 0.0
-        trace = rnn_forward(p, Rng(1).normal(0, 1, (2, 4)))
-        np.testing.assert_array_equal(trace.h_seq, np.full((3, 4), 0.5))
-        np.testing.assert_array_equal(trace.y_seq, np.zeros((2, 4)))
-
-    def test_batch_matches_loop(self):
-        # wider GEMMs may round differently in the last ulp, hence the
-        # tiny absolute tolerance instead of bitwise equality
-        p = init_rnn(2, 3, 2, Rng(5))
-        rng = Rng(6)
-        xs = np.stack([rng.normal(0, 1, (2, 4)).T for _ in range(3)], axis=2)
-        batch = rnn_forward(p, xs)
-        for b in range(3):
-            solo = rnn_forward(p, xs[:, :, b].T)
-            np.testing.assert_allclose(batch.h[:, :, b], solo.h[:, :, 0], atol=1e-12)
-            np.testing.assert_allclose(batch.y[:, :, b], solo.y[:, :, 0], atol=1e-12)
-
-
 class TestLstmStep:
     def test_zero_params_zero_state_fixed_point(self):
         p = zero_lstm(3, 2)
-        h, c, cache = lstm_step(p, np.zeros(2), np.zeros(3), np.zeros(3))
-        np.testing.assert_array_equal(c, np.zeros(3))
-        np.testing.assert_array_equal(h, np.zeros(3))
-        np.testing.assert_array_equal(cache["i"], np.full(3, 0.5))
-        np.testing.assert_array_equal(cache["f"], np.full(3, 0.5))
-        np.testing.assert_array_equal(cache["o"], np.full(3, 0.5))
+        h, c, cache = lstm_step(p, np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((3, 1)))
+        np.testing.assert_array_equal(c, np.zeros((3, 1)))
+        np.testing.assert_array_equal(h, np.zeros((3, 1)))
+        np.testing.assert_array_equal(cache["i"], np.full((3, 1), 0.5))
+        np.testing.assert_array_equal(cache["f"], np.full((3, 1), 0.5))
+        np.testing.assert_array_equal(cache["o"], np.full((3, 1), 0.5))
 
     def test_zero_params_halves_cell(self):
         p = zero_lstm(1, 1)
-        h, c, _ = lstm_step(p, np.zeros(1), np.zeros(1), np.array([0.8]))
-        assert c[0] == pytest.approx(0.4, abs=1e-15)
-        assert h[0] == pytest.approx(0.5 * np.tanh(0.4), abs=1e-15)
+        h, c, _ = lstm_step(p, np.zeros((1, 1)), np.zeros((1, 1)), np.array([[0.8]]))
+        assert c[0, 0] == pytest.approx(0.4, abs=1e-15)
+        assert h[0, 0] == pytest.approx(0.5 * np.tanh(0.4), abs=1e-15)
 
     def test_saturated_accumulator_step(self):
         p = accumulator_lstm()
-        h, c, cache = lstm_step(p, np.array([0.5]), np.zeros(1), np.zeros(1))
-        assert c[0] == pytest.approx(np.tanh(0.5), abs=1e-15)
-        assert h[0] == pytest.approx(np.tanh(np.tanh(0.5)), abs=1e-15)
-        assert cache["i"][0] == 1.0 and cache["f"][0] == 1.0 and cache["o"][0] == 1.0
+        h, c, cache = lstm_step(p, np.array([[0.5]]), np.zeros((1, 1)), np.zeros((1, 1)))
+        assert c[0, 0] == pytest.approx(np.tanh(0.5), abs=1e-15)
+        assert h[0, 0] == pytest.approx(np.tanh(np.tanh(0.5)), abs=1e-15)
+        assert cache["i"][0, 0] == 1.0 and cache["f"][0, 0] == 1.0 and cache["o"][0, 0] == 1.0
 
     def test_forget_gate_clamps_memory(self):
         # b_f = -100 discards the carried state: c_t = tanh(x_t)
         p = accumulator_lstm(b_f=-100.0)
-        h, c, _ = lstm_step(p, np.array([-0.5]), np.zeros(1), np.array([0.462]))
-        assert c[0] == pytest.approx(np.tanh(-0.5), abs=1e-15)
+        h, c, _ = lstm_step(p, np.array([[-0.5]]), np.zeros((1, 1)), np.array([[0.462]]))
+        assert c[0, 0] == pytest.approx(np.tanh(-0.5), abs=1e-15)
 
 
 class TestLstmForward:
     def test_saturated_accumulator_sequence(self):
         p = accumulator_lstm()
-        trace = lstm_forward(p, np.array([[0.5, -0.5, 0.25]]))
-        c = trace.c_seq[0]
+        trace = lstm_forward(p, one([[0.5, -0.5, 0.25]]))
+        c = seq(trace.c)[0]
         assert c[0] == pytest.approx(0.4621, abs=1e-4)
         assert c[1] == pytest.approx(0.0, abs=1e-12)
         assert c[2] == pytest.approx(0.2449, abs=1e-4)
@@ -125,41 +95,42 @@ class TestLstmForward:
 
     def test_forgetful_sequence_is_memoryless(self):
         p = accumulator_lstm(b_f=-100.0)
-        trace = lstm_forward(p, np.array([[0.5, -0.5, 0.25]]))
-        np.testing.assert_allclose(trace.c_seq[0], np.tanh([0.5, -0.5, 0.25]),
+        trace = lstm_forward(p, one([[0.5, -0.5, 0.25]]))
+        np.testing.assert_allclose(seq(trace.c)[0], np.tanh([0.5, -0.5, 0.25]),
                                    atol=1e-15)
 
     def test_trace_equals_step_fold(self):
         p = init_lstm(3, 4, Rng(2))
-        x = Rng(3).normal(0, 1, (3, 6))
-        trace = lstm_forward(p, x)
-        h = np.zeros(4)
-        c = np.zeros(4)
+        xs = one(Rng(3).normal(0, 1, (3, 6)))
+        trace = lstm_forward(p, xs)
+        h = np.zeros((4, 1))
+        c = np.zeros((4, 1))
         for t in range(6):
-            h, c, cache = lstm_step(p, x[:, t], h, c)
-            np.testing.assert_array_equal(trace.h_seq[:, t], h)
-            np.testing.assert_array_equal(trace.c_seq[:, t], c)
-            np.testing.assert_array_equal(trace.i[t, :, 0], cache["i"])
-            np.testing.assert_array_equal(trace.g[t, :, 0], cache["g"])
+            h, c, cache = lstm_step(p, xs[t], h, c)
+            np.testing.assert_array_equal(trace.h[t], h)
+            np.testing.assert_array_equal(trace.c[t], c)
+            np.testing.assert_array_equal(trace.i[t], cache["i"])
+            np.testing.assert_array_equal(trace.g[t], cache["g"])
 
     def test_gates_in_open_interval_and_h_bounded(self):
         for seed in range(8):
             rng = Rng(seed)
             p = init_lstm(3, 4, rng.split())
             x = rng.split().normal(0, 2, (3, 10))
-            tr = lstm_forward(p, x)
+            tr = lstm_forward(p, one(x))
             for gate in (tr.i, tr.f, tr.o):
                 assert np.all(gate > 0.0) and np.all(gate < 1.0)
             assert np.all(np.abs(tr.h) < 1.0)
 
     def test_batch_matches_loop(self):
-        # see TestRnnForward.test_batch_matches_loop on the tolerance
+        # wider GEMMs may round differently in the last ulp, hence the
+        # tiny absolute tolerance instead of bitwise equality
         p = init_lstm(2, 3, Rng(7))
         rng = Rng(8)
         xs = np.stack([rng.normal(0, 1, (4, 2)) for _ in range(5)], axis=2)
         batch = lstm_forward(p, xs)
         for b in range(5):
-            solo = lstm_forward(p, xs[:, :, b].T)
+            solo = lstm_forward(p, xs[:, :, b, None])
             np.testing.assert_allclose(batch.h[:, :, b], solo.h[:, :, 0], atol=1e-12)
             np.testing.assert_allclose(batch.c[:, :, b], solo.c[:, :, 0], atol=1e-12)
 
@@ -168,7 +139,7 @@ class TestExtendedLstm:
     def test_width_mismatch_rejected(self):
         p = init_extended_lstm(2, 3, width=4, rng=Rng(0))
         with pytest.raises(ShapeError):
-            lstm_forward(p, np.zeros((2, 5)))
+            lstm_forward(p, np.zeros((5, 2, 1)))
 
     def test_matches_plain_lstm_when_frames_tied(self):
         plain = init_lstm(2, 3, Rng(4))
@@ -178,16 +149,15 @@ class TestExtendedLstm:
         for name in ("W_hi", "W_hf", "W_hc", "W_ho", "W_ci", "W_cf", "W_co",
                      "b_i", "b_f", "b_c", "b_o"):
             getattr(ext, name)[...] = getattr(plain, name)
-        x = Rng(5).normal(0, 1, (2, 4))
-        np.testing.assert_array_equal(lstm_forward(ext, x).h_seq,
-                                      lstm_forward(plain, x).h_seq)
+        x = one(Rng(5).normal(0, 1, (2, 4)))
+        np.testing.assert_array_equal(lstm_forward(ext, x).h, lstm_forward(plain, x).h)
 
     def test_per_frame_weights_are_independent(self):
         ext = init_extended_lstm(1, 1, width=2, rng=Rng(1))
-        x = np.array([[1.0, 1.0]])
-        base = lstm_forward(ext, x).h_seq.copy()
+        x = one([[1.0, 1.0]])
+        base = seq(lstm_forward(ext, x).h).copy()
         ext.W_xi[1] += 0.5   # frame 1's input weight only
-        bumped = lstm_forward(ext, x).h_seq
+        bumped = seq(lstm_forward(ext, x).h)
         assert bumped[0, 0] == base[0, 0]
         assert bumped[0, 1] != base[0, 1]
 
@@ -195,35 +165,23 @@ class TestExtendedLstm:
 # ---------------------------------------------------------------------------
 # Gradients.
 
-def rnn_probe_check(p, x, seed: int) -> float:
-    trace = rnn_forward(p, x)
-    rng = Rng(seed)
-    R_h = rng.normal(0, 1, trace.h_seq.shape)
-    R_y = rng.normal(0, 1, trace.y_seq.shape)
-    grads, dx = rnn_backward(p, trace, dh=R_h, dy=R_y)
-
-    def loss() -> float:
-        tr = rnn_forward(p, x)
-        return float(np.sum(R_h * tr.h_seq) + np.sum(R_y * tr.y_seq))
-
-    worst = fd_check(loss, p, grads).max_rel_error
-    return max(worst, fd_check(loss, x, dx).max_rel_error)
-
-
 def lstm_probe_check(p, x, seed: int, mode: str = "both") -> float:
+    """FD check of the probe loss <R_h, h> + <R_c, c> for a k-by-l x."""
+    x = one(x)
     trace = lstm_forward(p, x)
     rng = Rng(seed)
-    R_h = rng.normal(0, 1, trace.h_seq.shape) if mode in ("h", "both") else None
-    R_c = rng.normal(0, 1, trace.c_seq.shape) if mode in ("c", "both") else None
-    grads, dx = lstm_backward(p, trace, dh=R_h, dc=R_c)
+    R_h = rng.normal(0, 1, seq(trace.h).shape) if mode in ("h", "both") else None
+    R_c = rng.normal(0, 1, seq(trace.c).shape) if mode in ("c", "both") else None
+    grads, dx = lstm_backward(p, trace, dh=None if R_h is None else one(R_h),
+                              dc=None if R_c is None else one(R_c))
 
     def loss() -> float:
         tr = lstm_forward(p, x)
         s = 0.0
         if R_h is not None:
-            s += float(np.sum(R_h * tr.h_seq))
+            s += float(np.sum(R_h * seq(tr.h)))
         if R_c is not None:
-            s += float(np.sum(R_c * tr.c_seq))
+            s += float(np.sum(R_c * seq(tr.c)))
         return s
 
     worst = fd_check(loss, p, grads).max_rel_error
@@ -231,13 +189,15 @@ def lstm_probe_check(p, x, seed: int, mode: str = "both") -> float:
 
 
 def blstm_probe_check(p, x, seed: int) -> float:
+    """FD check of the probe loss <R, y> for a k-by-l x."""
+    x = one(x)
     y, ft, bt = blstm_forward(p, x)
-    probe = Rng(seed).normal(0, 1, y.shape)
-    grads, dx = blstm_backward(p, ft, bt, probe)
+    probe = Rng(seed).normal(0, 1, seq(y).shape)
+    grads, dx = blstm_backward(p, ft, bt, one(probe))
 
     def loss() -> float:
         out, _, _ = blstm_forward(p, x)
-        return float(np.sum(probe * out))
+        return float(np.sum(probe * seq(out)))
 
     worst = fd_check(loss, p, grads).max_rel_error
     return max(worst, fd_check(loss, x, dx).max_rel_error)
@@ -252,22 +212,6 @@ CASES = [
     (9, 1, 4, 4, 3),
     (5, 4, 4, 2, 2),
 ]
-
-
-class TestRnnBackward:
-    @pytest.mark.parametrize("seed,k,n,d,T", CASES)
-    def test_fd(self, seed, k, n, d, T):
-        rng = Rng(seed)
-        p = init_rnn(k, n, d, rng.split())
-        x = rng.split().normal(0, 1, (k, T))
-        assert rnn_probe_check(p, x, seed + 100) < TOL
-
-    def test_zero_upstream_gives_zero_grads(self):
-        p = init_rnn(2, 3, 2, Rng(0))
-        trace = rnn_forward(p, Rng(1).normal(0, 1, (2, 4)))
-        grads, dx = rnn_backward(p, trace)
-        assert all(np.all(a == 0.0) for _, a in named_arrays(grads))
-        np.testing.assert_array_equal(dx, np.zeros((2, 4)))
 
 
 class TestLstmBackward:
@@ -285,30 +229,30 @@ class TestLstmBackward:
         b_c = 0.3
         p = accumulator_lstm(b_c=b_c)
         x = np.array([[0.5, -0.2, 0.8, 0.1]])
-        trace = lstm_forward(p, x)
-        dc = np.zeros((1, 4))
-        dc[0, -1] = 1.0
+        trace = lstm_forward(p, one(x))
+        dc = np.zeros((4, 1, 1))
+        dc[-1, 0, 0] = 1.0
         grads, _ = lstm_backward(p, trace, dc=dc)
         expect = np.sum(1.0 - np.tanh(x[0] + b_c) ** 2)
         assert grads.b_c[0] == pytest.approx(expect, rel=1e-12)
 
     def test_zero_upstream_gives_zero_grads(self):
         p = init_lstm(2, 3, Rng(0))
-        trace = lstm_forward(p, Rng(1).normal(0, 1, (2, 4)))
+        trace = lstm_forward(p, one(Rng(1).normal(0, 1, (2, 4))))
         grads, dx = lstm_backward(p, trace)
         assert all(np.all(a == 0.0) for _, a in named_arrays(grads))
-        np.testing.assert_array_equal(dx, np.zeros((2, 4)))
+        np.testing.assert_array_equal(dx, np.zeros((4, 2, 1)))
 
     def test_upstream_shape_mismatch(self):
         p = init_lstm(2, 3, Rng(0))
-        trace = lstm_forward(p, np.zeros((2, 4)))
+        trace = lstm_forward(p, np.zeros((4, 2, 1)))
         with pytest.raises(ShapeError):
-            lstm_backward(p, trace, dh=np.zeros((3, 5)))
+            lstm_backward(p, trace, dh=np.zeros((5, 3, 1)))
 
     def test_gradient_bundle_mirrors_params(self):
         p = init_lstm(2, 3, Rng(0))
-        trace = lstm_forward(p, Rng(1).normal(0, 1, (2, 4)))
-        grads, _ = lstm_backward(p, trace, dh=np.ones((3, 4)))
+        trace = lstm_forward(p, one(Rng(1).normal(0, 1, (2, 4))))
+        grads, _ = lstm_backward(p, trace, dh=np.ones((4, 3, 1)))
         assert type(grads) is LstmParams
         for (n1, a), (n2, g) in zip(named_arrays(p), named_arrays(grads)):
             assert n1 == n2 and a.shape == g.shape
@@ -323,7 +267,7 @@ class TestExtendedLstmBackward:
         p = init_extended_lstm(k, n, width=T, rng=rng.split())
         x = rng.split().normal(0, 1, (k, T))
         assert lstm_probe_check(p, x, seed + 300, "both") < TOL
-        grads, _ = lstm_backward(p, lstm_forward(p, x), dh=np.ones((n, T)))
+        grads, _ = lstm_backward(p, lstm_forward(p, one(x)), dh=np.ones((T, n, 1)))
         assert type(grads) is ExtendedLstmParams
         assert grads.W_xi.shape == (T, n, k)
 
@@ -333,8 +277,8 @@ class TestBlstm:
         p = init_blstm(2, 3, 2, Rng(0))
         for _, arr in named_arrays(p):
             arr[...] = 0.0
-        y, _, _ = blstm_forward(p, Rng(1).normal(0, 1, (2, 5)))
-        np.testing.assert_array_equal(y, np.zeros((2, 5)))
+        y, _, _ = blstm_forward(p, one(Rng(1).normal(0, 1, (2, 5))))
+        np.testing.assert_array_equal(y, np.zeros((5, 2, 1)))
 
     def test_scalar_cell_source_fixture(self):
         # forward accumulates tanh(x) left to right, backward right to
@@ -344,7 +288,8 @@ class TestBlstm:
         p = BlstmParams(fwd=acc, bwd=accumulator_lstm(),
                         W_fy=np.ones((1, 1)), W_by=np.ones((1, 1)),
                         b_y=np.zeros(1), source="cell")
-        y, _, _ = blstm_forward(p, np.array([[0.5, -0.5]]))
+        y, _, _ = blstm_forward(p, one([[0.5, -0.5]]))
+        y = seq(y)
         assert y[0, 0] == pytest.approx(0.4621, abs=1e-4)
         assert y[0, 1] == pytest.approx(-0.4621, abs=1e-4)
         assert y[0, 0] == pytest.approx(np.tanh(0.5), abs=1e-12)
@@ -357,8 +302,8 @@ class TestBlstm:
                                b_y=p.b_y, source="hidden")
         half = rng.split().normal(0, 1, (2, 3))
         x = np.concatenate([half, half[:, ::-1]], axis=1)
-        y, _, _ = blstm_forward(mirrored, x)
-        np.testing.assert_array_equal(y, y[:, ::-1])
+        y, _, _ = blstm_forward(mirrored, one(x))
+        np.testing.assert_array_equal(seq(y), seq(y)[:, ::-1])
 
     @pytest.mark.parametrize("source", ["hidden", "cell"])
     def test_direction_swap_reverses_output_exactly(self, source):
@@ -368,9 +313,9 @@ class TestBlstm:
             x = rng.split().normal(0, 1, (2, 6))
             swapped = BlstmParams(fwd=p.bwd, bwd=p.fwd, W_fy=p.W_by,
                                   W_by=p.W_fy, b_y=p.b_y, source=source)
-            y, _, _ = blstm_forward(p, x)
-            y_rev, _, _ = blstm_forward(swapped, np.ascontiguousarray(x[:, ::-1]))
-            np.testing.assert_array_equal(y_rev, y[:, ::-1])
+            y, _, _ = blstm_forward(p, one(x))
+            y_rev, _, _ = blstm_forward(swapped, one(np.ascontiguousarray(x[:, ::-1])))
+            np.testing.assert_array_equal(seq(y_rev), seq(y)[:, ::-1])
 
     @pytest.mark.parametrize("source", ["hidden", "cell"])
     @pytest.mark.parametrize("seed,k,n,d,T", CASES)
@@ -383,3 +328,33 @@ class TestBlstm:
     def test_init_rejects_bad_source(self):
         with pytest.raises(ValueError):
             init_blstm(2, 3, 2, Rng(0), source="logits")
+
+
+class TestLayout:
+    """The cells take (T, k, B) stacks and (k, B)/(n, B) step batches only."""
+
+    @pytest.mark.parametrize("shape", [(2, 4), (4, 2, 1, 1)])
+    def test_lstm_forward_rejects_other_ranks(self, shape):
+        with pytest.raises(ShapeError):
+            lstm_forward(init_lstm(2, 3, Rng(0)), np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(2, 4), (4, 2, 1, 1)])
+    def test_blstm_forward_rejects_other_ranks(self, shape):
+        with pytest.raises(ShapeError):
+            blstm_forward(init_blstm(2, 3, 2, Rng(0)), np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(2,), (4, 2, 1)])
+    def test_lstm_step_rejects_other_ranks(self, shape):
+        with pytest.raises(ShapeError):
+            lstm_step(init_lstm(2, 3, Rng(0)), np.zeros(shape),
+                      np.zeros((3, 1)), np.zeros((3, 1)))
+
+    def test_lstm_step_rejects_vector_state(self):
+        with pytest.raises(ShapeError):
+            lstm_step(init_lstm(2, 3, Rng(0)), np.zeros((2, 1)), np.zeros(3), np.zeros(3))
+
+    def test_blstm_backward_rejects_matrix_upstream(self):
+        p = init_blstm(2, 3, 2, Rng(0))
+        _, ft, bt = blstm_forward(p, np.zeros((4, 2, 1)))
+        with pytest.raises(ShapeError):
+            blstm_backward(p, ft, bt, np.zeros((2, 4)))

@@ -187,6 +187,16 @@ class TestExtractFeatures:
         assert cli.main(["extract-features", "--out", "x"]) == 2
         assert "error: config:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["s.wav\t0\n", "s.wav\tzero\tg\n", "gone.wav\t0\tg\n",
+                                      "# no clips\n"])
+    def test_bad_manifest_is_data_error(self, tmp_path, capsys, line):
+        write_wav(tmp_path / "s.wav", np.zeros(4000), 16000)
+        manifest = tmp_path / "audio.tsv"
+        manifest.write_text(line)
+        assert cli.main(["extract-features", "--data", str(manifest),
+                         "--out", str(tmp_path / "o")]) == 3
+        assert "error: data:" in capsys.readouterr().err
+
     def test_bad_wav_is_data_error(self, tmp_path, capsys):
         (tmp_path / "junk.wav").write_bytes(b"not really a wav file at all")
         manifest = tmp_path / "audio.tsv"

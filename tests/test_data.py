@@ -23,6 +23,7 @@ from crnn.data import (
     mel_filterbank,
     mel_to_hz,
     normalize_per_group,
+    read_audio_manifest,
     read_features,
     read_manifest,
     read_wav,
@@ -442,3 +443,34 @@ class TestManifest:
         (tmp_path / "m.tsv").write_text("# nothing\n")
         with pytest.raises(DataError, match="no examples"):
             read_manifest(tmp_path / "m.tsv")
+
+
+class TestAudioManifest:
+    def test_resolves_relative_and_absolute_paths(self, tmp_path):
+        write_wav(tmp_path / "a.wav", np.zeros(16), 16000)
+        write_wav(tmp_path / "b.wav", np.zeros(16), 16000)
+        (tmp_path / "m.tsv").write_text(f"# clips\na.wav\t1\tspk0\n\n"
+                                        f"{tmp_path / 'b.wav'}\t0\tspk1\n")
+        assert read_audio_manifest(tmp_path / "m.tsv") == [
+            (tmp_path / "a.wav", 1, "spk0"), (tmp_path / "b.wav", 0, "spk1")]
+
+    def test_bad_field_count_names_line(self, tmp_path):
+        (tmp_path / "m.tsv").write_text("# header\na.wav\t0\n")
+        with pytest.raises(DataError, match=r"m\.tsv:2: expected 3 tab-separated fields, got 2"):
+            read_audio_manifest(tmp_path / "m.tsv")
+
+    def test_non_integer_label(self, tmp_path):
+        write_wav(tmp_path / "a.wav", np.zeros(16), 16000)
+        (tmp_path / "m.tsv").write_text("a.wav\tzero\tg\n")
+        with pytest.raises(DataError, match="label 'zero' is not an integer"):
+            read_audio_manifest(tmp_path / "m.tsv")
+
+    def test_missing_wav(self, tmp_path):
+        (tmp_path / "m.tsv").write_text("gone.wav\t0\tg\n")
+        with pytest.raises(DataError, match="audio file .*gone.wav does not exist"):
+            read_audio_manifest(tmp_path / "m.tsv")
+
+    def test_empty_manifest_rejected(self, tmp_path):
+        (tmp_path / "m.tsv").write_text("# nothing\n")
+        with pytest.raises(DataError, match="manifest lists no files"):
+            read_audio_manifest(tmp_path / "m.tsv")

@@ -13,15 +13,30 @@ from crnn.layers import (
     init_layer,
     layer_backward,
     layer_forward,
-    min_input_length,
     output_length,
     softmax_backward,
     softmax_columns,
 )
+from crnn.model import ModelConfig, min_sequence_length
 from crnn.numerics import Rng, param_count
 from crnn.training import fd_check
 
 from fdtools import TOL, probe_layer_check
+
+
+def one_layer_min_length(c: CrnnLayerConfig) -> int:
+    """Shortest input of a one-layer model on this layer."""
+    return min_sequence_length(ModelConfig(input_dim=2, num_classes=2, layers=(c,)))
+
+
+def one(win: np.ndarray) -> np.ndarray:
+    """One k-by-width window as a (width, k, 1) cell stack."""
+    return win.T[:, :, None]
+
+
+def seq(a: np.ndarray) -> np.ndarray:
+    """The first sequence of a (T, n, B) stack as an n-by-T matrix."""
+    return a[:, :, 0].T
 
 
 def cfg(kind="clstm", features=3, window=(3, 2), pool=None, **kw):
@@ -67,7 +82,7 @@ class TestFramingArithmetic:
     def test_min_input_length_is_tight(self, window, pool):
         c = cfg(window=window, pool=pool)
         params = init_layer(c, 2, Rng(0))
-        need = min_input_length(c)
+        need = one_layer_min_length(c)
         out, _ = layer_forward(c, params, np.zeros((2, need)))
         assert out.shape[1] >= 1
         if need > 1:
@@ -78,7 +93,7 @@ class TestFramingArithmetic:
     def test_output_length_matches_forward(self, pool):
         c = cfg(window=(3, 2), pool=pool)
         params = init_layer(c, 2, Rng(0))
-        for length in range(min_input_length(c), min_input_length(c) + 9):
+        for length in range(one_layer_min_length(c), one_layer_min_length(c) + 9):
             out, _ = layer_forward(c, params, np.zeros((2, length)))
             assert out.shape == (3, output_length(c, length))
 
@@ -156,19 +171,19 @@ class TestRecurrentLayersAgainstWindowLoop:
         x = Rng(4).normal(0, 1, (2, 9))
         out, _ = layer_forward(c, p, x)
         for w, win in enumerate(make_windows(x, c.window)):
-            tr = lstm_forward(p.lstm, win)
+            tr = lstm_forward(p.lstm, one(win))
             if source == "hidden":
-                seq = tr.h_seq
+                states = seq(tr.h)
             elif source == "cell":
-                seq = tr.c_seq
+                states = seq(tr.c)
             else:
-                seq = p.proj.W @ tr.h_seq + p.proj.b[:, None]
+                states = p.proj.W @ seq(tr.h) + p.proj.b[:, None]
             if reduction == "last":
-                expect = seq[:, -1]
+                expect = states[:, -1]
             elif reduction == "mean":
-                expect = seq.mean(axis=1)
+                expect = states.mean(axis=1)
             else:
-                expect = seq.max(axis=1)
+                expect = states.max(axis=1)
             np.testing.assert_allclose(out[:, w], expect, atol=1e-12)
 
     @pytest.mark.parametrize("source", ["hidden", "cell"])
@@ -179,8 +194,8 @@ class TestRecurrentLayersAgainstWindowLoop:
         x = Rng(6).normal(0, 1, (2, 10))
         out, _ = layer_forward(c, p, x)
         for w, win in enumerate(make_windows(x, c.window)):
-            y, _, _ = blstm_forward(p, win)
-            np.testing.assert_allclose(out[:, w], y.max(axis=1), atol=1e-12)
+            y, _, _ = blstm_forward(p, one(win))
+            np.testing.assert_allclose(out[:, w], seq(y).max(axis=1), atol=1e-12)
 
     def test_extended_clstm(self):
         c = cfg(kind="extended_clstm", features=3, window=(3, 2),
@@ -189,7 +204,7 @@ class TestRecurrentLayersAgainstWindowLoop:
         x = Rng(8).normal(0, 1, (2, 9))
         out, _ = layer_forward(c, p, x)
         for w, win in enumerate(make_windows(x, c.window)):
-            np.testing.assert_allclose(out[:, w], lstm_forward(p.lstm, win).c_seq[:, -1],
+            np.testing.assert_allclose(out[:, w], seq(lstm_forward(p.lstm, one(win)).c)[:, -1],
                                        atol=1e-12)
 
     def test_windows_restart_from_zero_state(self):

@@ -215,6 +215,20 @@ class TestFdCheck:
         name, idx, err = report.worst(1)[0]
         assert err > 0.5
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_fails(self, bad):
+        # NaN compares false against any threshold; it must still count
+        theta = np.array([[1.0, -0.5]])
+        analytic = np.full_like(theta, bad)
+
+        def loss() -> float:
+            return float(np.sum(theta ** 2))
+
+        report = fd_check(loss, theta, analytic)
+        assert report.max_rel_error == math.inf
+        assert len(report.failures) == theta.size
+        assert all(err == math.inf for _, _, err in report.failures)
+
     def test_relative_error_floor(self):
         assert relative_error(0.0, 0.0) == 0.0
         assert relative_error(1e-12, 0.0) == pytest.approx(1e-4)
