@@ -30,10 +30,11 @@ print(f"gate range: ({gates.min():.4f}, {gates.max():.4f})")
 forgetful = init_lstm(2, 2, Rng(0))
 for name, arr in vars(forgetful).items():
     arr[...] = 0.0
-forgetful.W_xc[...] = np.eye(2)
-forgetful.b_i[...] = 100.0   # input gate pinned to 1
-forgetful.b_o[...] = 100.0   # output gate pinned to 1
-forgetful.b_f[...] = -100.0  # forget gate pinned to 0
+# gate blocks are stacked i, f, c, o with 2 rows each
+forgetful.W_x[4:6] = np.eye(2)
+forgetful.b[0:2] = 100.0    # input gate pinned to 1
+forgetful.b[2:4] = -100.0   # forget gate pinned to 0
+forgetful.b[6:8] = 100.0    # output gate pinned to 1
 steps = np.array([[0.5, -1.0, 2.0], [0.0, 0.3, -0.7]])
 out = lstm_forward(forgetful, steps.T[:, :, None]).h[:, :, 0].T
 print("\nmemoryless cell vs tanh(tanh(x)):",

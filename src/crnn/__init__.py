@@ -11,7 +11,6 @@ average recall.
 
 from .cells import (
     BlstmParams,
-    ExtendedLstmParams,
     LstmParams,
     blstm_backward,
     blstm_forward,
@@ -38,7 +37,7 @@ from .data import (
     write_manifest,
     write_wav,
 )
-from .framing import WindowSpec, make_windows, max_pool_sequence, stack_windows, window_count
+from .framing import WindowSpec, stack_windows, window_count
 from .layers import (
     ClstmParams,
     ConvParams,

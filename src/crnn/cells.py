@@ -3,10 +3,11 @@
 Two cells, both starting from zero state, features as column vectors:
 
 peephole LSTM
-    i_t = sigmoid(W_xi x_t + W_hi h_{t-1} + W_ci c_{t-1} + b_i)
-    f_t = sigmoid(W_xf x_t + W_hf h_{t-1} + W_cf c_{t-1} + b_f)
-    c_t = f_t * c_{t-1} + i_t * tanh(W_xc x_t + W_hc h_{t-1} + b_c)
-    o_t = sigmoid(W_xo x_t + W_ho h_{t-1} + W_co c_t + b_o)
+    a_t = W_x x_t + W_h h_{t-1} + b, cut into n-row blocks a^i, a^f, a^c, a^o
+    i_t = sigmoid(a^i_t + P_i c_{t-1})
+    f_t = sigmoid(a^f_t + P_f c_{t-1})
+    c_t = f_t * c_{t-1} + i_t * tanh(a^c_t)
+    o_t = sigmoid(a^o_t + P_o c_t)
     h_t = o_t * tanh(c_t)
 
 bidirectional LSTM
@@ -14,6 +15,13 @@ bidirectional LSTM
     second's states re-aligned to the original time axis, then
     y_t = W_fy s_fwd_t + W_by s_bwd_t + b_y
     with s either the hidden or the cell sequence.
+
+``LstmParams`` keeps each quantity's gate blocks stacked, n rows per
+gate, in the order i, f, c, o: W_x is (4n, k), W_h (4n, n) and b (4n,);
+the peepholes W_c = (P_i; P_f; P_o) are (3n, n), since the cell input
+has none.  One GEMM thus forms all four gates' share of a quantity.  The
+extended LSTM differs only in its input weights: W_x is (width, 4n, k),
+one copy per frame position, and frame t of a window uses W_x[t].
 
 Peephole weights are full n-by-n matrices, and the output gate peeks at
 the *current* cell state c_t, so the backward pass must route gradient
@@ -40,43 +48,18 @@ from .numerics import Rng, ShapeError, init_params, sigmoid
 
 @dataclass
 class LstmParams:
-    W_xi: np.ndarray
-    W_xf: np.ndarray
-    W_xc: np.ndarray
-    W_xo: np.ndarray
-    W_hi: np.ndarray
-    W_hf: np.ndarray
-    W_hc: np.ndarray
-    W_ho: np.ndarray
-    W_ci: np.ndarray
-    W_cf: np.ndarray
-    W_co: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
+    W_x: np.ndarray     # (4n, k), or (width, 4n, k) with per-frame copies
+    W_h: np.ndarray     # (4n, n)
+    W_c: np.ndarray     # (3n, n): i and f read c_{t-1}, o reads c_t
+    b: np.ndarray       # (4n,)
 
     @property
     def n(self) -> int:
-        return self.W_hi.shape[0]
+        return self.W_h.shape[1]
 
     @property
     def input_dim(self) -> int:
-        return self.W_xi.shape[-1]
-
-
-@dataclass
-class ExtendedLstmParams(LstmParams):
-    """LSTM whose four input matrices have one copy per frame position.
-
-    W_xi, W_xf, W_xc, W_xo are (width, n, k); frame t of a window uses
-    copy t.  Recurrent, peephole and bias fields are shared across frames
-    exactly as in ``LstmParams``.
-    """
-
-    @property
-    def width(self) -> int:
-        return self.W_xi.shape[0]
+        return self.W_x.shape[-1]
 
 
 @dataclass
@@ -93,33 +76,24 @@ class BlstmParams:
         return self.W_fy.shape[0]
 
 
+def _init_lstm(W_x: np.ndarray, n: int, rng: Rng) -> LstmParams:
+    """Finish an LSTM whose input weights are drawn: the recurrent blocks
+    i, f, c, o come next, then the peephole blocks i, f, o."""
+    return LstmParams(W_x=W_x, W_h=init_params((4, n, n), rng).reshape(4 * n, n),
+                      W_c=init_params((3, n, n), rng).reshape(3 * n, n), b=np.zeros(4 * n))
+
+
 def init_lstm(input_dim: int, hidden_dim: int, rng: Rng) -> LstmParams:
     n, k = hidden_dim, input_dim
-    return LstmParams(
-        W_xi=init_params((n, k), rng), W_xf=init_params((n, k), rng),
-        W_xc=init_params((n, k), rng), W_xo=init_params((n, k), rng),
-        W_hi=init_params((n, n), rng), W_hf=init_params((n, n), rng),
-        W_hc=init_params((n, n), rng), W_ho=init_params((n, n), rng),
-        W_ci=init_params((n, n), rng), W_cf=init_params((n, n), rng),
-        W_co=init_params((n, n), rng),
-        b_i=np.zeros(n), b_f=np.zeros(n), b_c=np.zeros(n), b_o=np.zeros(n),
-    )
+    return _init_lstm(init_params((4, n, k), rng).reshape(4 * n, k), n, rng)
 
 
-def init_extended_lstm(input_dim: int, hidden_dim: int, width: int, rng: Rng) -> ExtendedLstmParams:
+def init_extended_lstm(input_dim: int, hidden_dim: int, width: int, rng: Rng) -> LstmParams:
+    """LSTM whose input weights have one copy per frame position, drawn
+    gate-major: every frame's block of gate i, then of gate f, and so on."""
     n, k = hidden_dim, input_dim
-
-    def per_frame():
-        return np.stack([init_params((n, k), rng) for _ in range(width)])
-
-    return ExtendedLstmParams(
-        W_xi=per_frame(), W_xf=per_frame(), W_xc=per_frame(), W_xo=per_frame(),
-        W_hi=init_params((n, n), rng), W_hf=init_params((n, n), rng),
-        W_hc=init_params((n, n), rng), W_ho=init_params((n, n), rng),
-        W_ci=init_params((n, n), rng), W_cf=init_params((n, n), rng),
-        W_co=init_params((n, n), rng),
-        b_i=np.zeros(n), b_f=np.zeros(n), b_c=np.zeros(n), b_o=np.zeros(n),
-    )
+    W_x = init_params((4, width, n, k), rng)
+    return _init_lstm(W_x.swapaxes(0, 1).reshape(width, 4 * n, k), n, rng)
 
 
 def init_blstm(input_dim: int, hidden_dim: int, out_dim: int, rng: Rng,
@@ -157,10 +131,6 @@ def _upstream(d, shape: tuple[int, ...]) -> np.ndarray:
     return d
 
 
-def _col(v: np.ndarray) -> np.ndarray:
-    return v[:, None]
-
-
 def _sum_td(d: np.ndarray, s: np.ndarray) -> np.ndarray:
     # sum_t d[t] @ s[t].T over time and batch columns
     return np.tensordot(d, s, axes=([0, 2], [0, 2]))
@@ -187,29 +157,21 @@ class LstmTrace:
     tanh_c: np.ndarray
 
 
-def _lstm_gates(wx, p, x_t, h_prev, c_prev):
-    """One LSTM step on column batches; wx holds this frame's four input
-    matrices (constant for a plain LSTM, per-frame for the extended one).
-    Returns the arrays named in ``_STATES``."""
-    wxi, wxf, wxc, wxo = wx
-    a_i = (wxi @ x_t + _col(p.b_i)) + p.W_hi @ h_prev + p.W_ci @ c_prev
-    a_f = (wxf @ x_t + _col(p.b_f)) + p.W_hf @ h_prev + p.W_cf @ c_prev
-    a_c = (wxc @ x_t + _col(p.b_c)) + p.W_hc @ h_prev
-    i = sigmoid(a_i)
-    f = sigmoid(a_f)
-    g = np.tanh(a_c)
+def _lstm_gates(W_x, p, x_t, h_prev, c_prev):
+    """One LSTM step on column batches; W_x is this frame's (4n, k) input
+    matrix (``p.W_x`` itself for a plain LSTM).  Returns the arrays named
+    in ``_STATES``."""
+    n = p.n
+    a = (W_x @ x_t + p.b[:, None]) + p.W_h @ h_prev
+    a[:2 * n] += p.W_c[:2 * n] @ c_prev
+    i_f = sigmoid(a[:2 * n])
+    i, f = i_f[:n], i_f[n:]
+    g = np.tanh(a[2 * n:3 * n])
     c = f * c_prev + i * g
-    a_o = (wxo @ x_t + _col(p.b_o)) + p.W_ho @ h_prev + p.W_co @ c
-    o = sigmoid(a_o)
+    o = sigmoid(a[3 * n:] + p.W_c[2 * n:] @ c)
     tc = np.tanh(c)
     h = o * tc
     return i, f, g, o, c, tc, h
-
-
-def _frame_weights(p: LstmParams, t: int):
-    if isinstance(p, ExtendedLstmParams):
-        return p.W_xi[t], p.W_xf[t], p.W_xc[t], p.W_xo[t]
-    return p.W_xi, p.W_xf, p.W_xc, p.W_xo
 
 
 def lstm_step(p: LstmParams, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
@@ -220,8 +182,10 @@ def lstm_step(p: LstmParams, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.nda
     if x_t.ndim != 2 or np.ndim(h_prev) != 2 or np.ndim(c_prev) != 2:
         raise ShapeError(f"lstm_step takes (k, B) input and (n, B) states, got shapes "
                          f"{x_t.shape}, {np.shape(h_prev)} and {np.shape(c_prev)}")
-    i, f, g, o, c, tc, h = _lstm_gates((p.W_xi, p.W_xf, p.W_xc, p.W_xo), p,
-                                       x_t, h_prev, c_prev)
+    if p.W_x.ndim != 2:
+        raise ShapeError("lstm_step takes a plain LSTM; an extended LSTM's input "
+                         "weights depend on the frame position")
+    i, f, g, o, c, tc, h = _lstm_gates(p.W_x, p, x_t, h_prev, c_prev)
     return h, c, {"i": i, "f": f, "g": g, "o": o, "tanh_c": tc}
 
 
@@ -229,15 +193,17 @@ def lstm_forward(p: LstmParams, x: np.ndarray) -> LstmTrace:
     """Iterate the cell from h_0 = c_0 = 0 over a (T, k, B) stack."""
     xs = _to_steps(x)
     T, _, B = xs.shape
-    if isinstance(p, ExtendedLstmParams) and T != p.width:
+    per_frame = p.W_x.ndim == 3
+    if per_frame and T != len(p.W_x):
         raise ShapeError(
-            f"extended LSTM has per-frame weights for width {p.width}, got length {T}")
+            f"extended LSTM has per-frame weights for width {len(p.W_x)}, got length {T}")
     n = p.n
     arrs = {name: np.empty((T, n, B)) for name in _STATES}
     h = np.zeros((n, B))
     c = np.zeros((n, B))
     for t in range(T):
-        for name, v in zip(_STATES, _lstm_gates(_frame_weights(p, t), p, xs[t], h, c)):
+        W_x = p.W_x[t] if per_frame else p.W_x
+        for name, v in zip(_STATES, _lstm_gates(W_x, p, xs[t], h, c)):
             arrs[name][t] = v
         h = arrs["h"][t]
         c = arrs["c"][t]
@@ -259,60 +225,43 @@ def lstm_backward(p: LstmParams, trace: LstmTrace, dh=None, dc=None
     H_prev = np.concatenate([np.zeros((1, n, B)), trace.h[:-1]], axis=0)
     C_prev = np.concatenate([np.zeros((1, n, B)), trace.c[:-1]], axis=0)
 
-    dA_i = np.empty((T, n, B))
-    dA_f = np.empty((T, n, B))
-    dA_c = np.empty((T, n, B))
-    dA_o = np.empty((T, n, B))
+    # gradients of the stacked gate pre-activations, blocks i, f, c, o
+    dA = np.empty((T, 4 * n, B))
+    W_hT = p.W_h.T
+    W_ifT = p.W_c[:2 * n].T
+    W_oT = p.W_c[2 * n:].T
     dh_carry = np.zeros((n, B))
     dc_carry = np.zeros((n, B))
     for t in reversed(range(T)):
         i, f, g, o = trace.i[t], trace.f[t], trace.g[t], trace.o[t]
         tc = trace.tanh_c[t]
+        da = dA[t]
         dh_t = dH[t] + dh_carry
         # h_t = o_t * tanh(c_t); o_t feeds nothing else
         do = dh_t * tc
-        da_o = do * o * (1.0 - o)
-        # c_t collects: its h_t use, the o_t peephole (W_co c_t), any
-        # external dc, and the carry from step t+1
-        dc_t = dC[t] + dc_carry + dh_t * o * (1.0 - tc * tc) + p.W_co.T @ da_o
-        da_i = (dc_t * g) * i * (1.0 - i)
-        da_f = (dc_t * C_prev[t]) * f * (1.0 - f)
-        da_c = (dc_t * i) * (1.0 - g * g)
-        dA_i[t], dA_f[t], dA_c[t], dA_o[t] = da_i, da_f, da_c, da_o
-        dh_carry = (p.W_hi.T @ da_i + p.W_hf.T @ da_f
-                    + p.W_hc.T @ da_c + p.W_ho.T @ da_o)
+        da[3 * n:] = do * o * (1.0 - o)
+        # c_t collects: its h_t use, the o_t peephole, any external dc, and
+        # the carry from step t+1
+        dc_t = dC[t] + dc_carry + dh_t * o * (1.0 - tc * tc) + W_oT @ da[3 * n:]
+        da[:n] = (dc_t * g) * i * (1.0 - i)
+        da[n:2 * n] = (dc_t * C_prev[t]) * f * (1.0 - f)
+        da[2 * n:3 * n] = (dc_t * i) * (1.0 - g * g)
+        dh_carry = W_hT @ da
         # c_{t-1} paths: the f_t product plus the i/f peepholes
-        dc_carry = dc_t * f + p.W_ci.T @ da_i + p.W_cf.T @ da_f
+        dc_carry = dc_t * f + W_ifT @ da[:2 * n]
 
-    extended = isinstance(p, ExtendedLstmParams)
-    if extended:
-        xT = trace.x.transpose(0, 2, 1)
-        gW_xi = np.matmul(dA_i, xT)
-        gW_xf = np.matmul(dA_f, xT)
-        gW_xc = np.matmul(dA_c, xT)
-        gW_xo = np.matmul(dA_o, xT)
-        dxs = (np.matmul(p.W_xi.transpose(0, 2, 1), dA_i)
-               + np.matmul(p.W_xf.transpose(0, 2, 1), dA_f)
-               + np.matmul(p.W_xc.transpose(0, 2, 1), dA_c)
-               + np.matmul(p.W_xo.transpose(0, 2, 1), dA_o))
+    if p.W_x.ndim == 3:
+        gW_x = np.matmul(dA, trace.x.transpose(0, 2, 1))
     else:
-        gW_xi = _sum_td(dA_i, trace.x)
-        gW_xf = _sum_td(dA_f, trace.x)
-        gW_xc = _sum_td(dA_c, trace.x)
-        gW_xo = _sum_td(dA_o, trace.x)
-        dxs = (np.matmul(p.W_xi.T, dA_i) + np.matmul(p.W_xf.T, dA_f)
-               + np.matmul(p.W_xc.T, dA_c) + np.matmul(p.W_xo.T, dA_o))
-
-    grads = type(p)(
-        W_xi=gW_xi, W_xf=gW_xf, W_xc=gW_xc, W_xo=gW_xo,
-        W_hi=_sum_td(dA_i, H_prev), W_hf=_sum_td(dA_f, H_prev),
-        W_hc=_sum_td(dA_c, H_prev), W_ho=_sum_td(dA_o, H_prev),
-        W_ci=_sum_td(dA_i, C_prev), W_cf=_sum_td(dA_f, C_prev),
-        W_co=_sum_td(dA_o, trace.c),
-        b_i=dA_i.sum(axis=(0, 2)), b_f=dA_f.sum(axis=(0, 2)),
-        b_c=dA_c.sum(axis=(0, 2)), b_o=dA_o.sum(axis=(0, 2)),
+        gW_x = _sum_td(dA, trace.x)
+    grads = LstmParams(
+        W_x=gW_x,
+        W_h=_sum_td(dA, H_prev),
+        W_c=np.concatenate([_sum_td(dA[:, :2 * n], C_prev),
+                            _sum_td(dA[:, 3 * n:], trace.c)]),
+        b=dA.sum(axis=(0, 2)),
     )
-    return grads, dxs
+    return grads, np.matmul(p.W_x.swapaxes(-1, -2), dA)
 
 
 # ---------------------------------------------------------------------------

@@ -155,10 +155,6 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
             beta2=entries.take_float("beta2", 0.001),
             epsilon=entries.take_float("epsilon", 1e-8),
         )
-        if train.lr <= 0 or train.epsilon <= 0:
-            raise ValueError("lr and epsilon must be positive")
-        if not (0.0 <= train.beta1 < 1.0 and 0.0 <= train.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
     except ValueError as e:
         raise ConfigError(f"{origin}: {e}") from None
 

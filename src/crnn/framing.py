@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, as_sequences
+from .numerics import as_sequences
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,6 @@ def window_count(length: int, spec: WindowSpec) -> int:
 
 def window_starts(length: int, spec: WindowSpec) -> range:
     return range(0, spec.shift * window_count(length, spec), spec.shift)
-
-
-def make_windows(x: np.ndarray, spec: WindowSpec) -> list[np.ndarray]:
-    """Copy out each k-by-width window of a k-by-l sequence."""
-    x = as_matrix(x)
-    return [x[:, s:s + spec.width].copy() for s in window_starts(x.shape[1], spec)]
 
 
 def stack_windows(x: np.ndarray, spec: WindowSpec) -> np.ndarray:
@@ -70,12 +64,6 @@ def scatter_windows_add(dwindows: np.ndarray, spec: WindowSpec, length: int) -> 
     for i, s in enumerate(window_starts(length, spec)):
         frames[s:s + width] += dwindows[:, :, i]
     return dx
-
-
-def max_pool_sequence(x: np.ndarray, spec: WindowSpec) -> np.ndarray:
-    """Per-feature max over each window of columns."""
-    out, _ = max_pool_forward(x, spec)
-    return out
 
 
 def max_pool_forward(x: np.ndarray, spec: WindowSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,6 @@ import numpy as np
 
 from .cells import (
     BlstmParams,
-    ExtendedLstmParams,
     LstmParams,
     LstmTrace,
     blstm_backward,
@@ -57,7 +56,7 @@ from .framing import (
     stack_windows,
     window_count,
 )
-from .numerics import ACTIVATIONS, Rng, as_sequences, init_params
+from .numerics import ACTIVATIONS, Rng, as_sequences, init_params, relu
 
 KINDS = ("conv", "clstm", "extended_clstm", "cblstm")
 SOURCES = ("hidden", "cell", "output")
@@ -131,7 +130,7 @@ class OutputProj:
 
 @dataclass
 class ClstmParams:
-    lstm: LstmParams      # ExtendedLstmParams for the extended kind
+    lstm: LstmParams      # per-frame (width, 4n, k) W_x for the extended kind
     proj: OutputProj | None = None
 
 
@@ -151,13 +150,6 @@ def init_layer(config: CrnnLayerConfig, input_dim: int, rng: Rng):
     if config.source == "output":
         proj = OutputProj(W=init_params((n, config.state_dim), rng), b=np.zeros(n))
     return ClstmParams(lstm=lstm, proj=proj)
-
-
-def output_length(config: CrnnLayerConfig, length: int) -> int:
-    cols = window_count(length, config.window)
-    if config.pool is not None:
-        cols = window_count(cols, config.pool)
-    return cols
 
 
 @dataclass
@@ -302,28 +294,15 @@ def init_dense(in_dim: int, out_dim: int, rng: Rng) -> DenseParams:
     return DenseParams(W=init_params((out_dim, in_dim), rng), b=np.zeros(out_dim))
 
 
-def dense_forward(p: DenseParams, x: np.ndarray, activation: str | None = "relu"
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Affine map over columns, optional activation; returns (out, preact)."""
+def dense_forward(p: DenseParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Affine map over columns through a ReLU; returns (out, preact)."""
     z = p.W @ x + p.b[:, None]
-    if activation is None:
-        return z, z
-    return ACTIVATIONS[activation](z), z
+    return relu(z), z
 
 
 def dense_backward(p: DenseParams, x: np.ndarray, preact: np.ndarray,
-                   dout: np.ndarray, activation: str | None = "relu"
-                   ) -> tuple[DenseParams, np.ndarray]:
-    if activation == "relu":
-        dz = dout * (preact > 0.0)
-    elif activation == "sigmoid":
-        s = ACTIVATIONS["sigmoid"](preact)
-        dz = dout * s * (1.0 - s)
-    elif activation == "tanh":
-        t = np.tanh(preact)
-        dz = dout * (1.0 - t * t)
-    else:
-        dz = np.asarray(dout, dtype=np.float64)
+                   dout: np.ndarray) -> tuple[DenseParams, np.ndarray]:
+    dz = dout * (preact > 0.0)
     grads = DenseParams(W=dz @ x.T, b=dz.sum(axis=1))
     return grads, p.W.T @ dz
 

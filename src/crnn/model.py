@@ -166,7 +166,7 @@ def model_forward(config: ModelConfig, params: ModelParams, x: np.ndarray
         ctr = lstm_forward(params.classifier, seq)
         trace.cls_trace = ctr
         trace.hidden = _columns(ctr.h)
-        trace.acts, trace.dense_pre = dense_forward(params.dense, trace.hidden, "relu")
+        trace.acts, trace.dense_pre = dense_forward(params.dense, trace.hidden)
     else:
         y, trace.cls_trace, trace.cls_bwd_trace = blstm_forward(params.classifier, seq)
         trace.dense_pre = _columns(y)
@@ -202,7 +202,7 @@ def model_backward(config: ModelConfig, params: ModelParams, trace: ModelTrace,
 
     if config.classifier == "lstm":
         g_dense, dhidden = dense_backward(params.dense, trace.hidden,
-                                          trace.dense_pre, dacts, "relu")
+                                          trace.dense_pre, dacts)
         g_cls, dseq = lstm_backward(params.classifier, trace.cls_trace,
                                     dh=_steps(dhidden, steps))
     else:

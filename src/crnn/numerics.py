@@ -53,13 +53,16 @@ def glorot_limit(rows: int, cols: int) -> float:
     return float(np.sqrt(6.0 / (rows + cols)))
 
 
-def init_params(shape: tuple[int, int], rng: "Rng") -> np.ndarray:
-    """Uniform init on [-a, a] with a = sqrt(6 / (rows + cols))."""
-    rows, cols = shape
-    if rows < 1 or cols < 1:
+def init_params(shape: tuple[int, ...], rng: "Rng") -> np.ndarray:
+    """Uniform init on [-a, a] with a = sqrt(6 / (rows + cols)), where rows
+    and cols are the last two dimensions.  Leading dimensions stack
+    successive draws: ``init_params((g, rows, cols), rng)`` holds the same
+    numbers as g calls of ``init_params((rows, cols), rng)``."""
+    rows, cols = shape[-2:]
+    if min(shape) < 1:
         raise ShapeError(f"parameter shape must be positive, got {shape}")
     a = glorot_limit(rows, cols)
-    return rng.uniform(-a, a, (rows, cols))
+    return rng.uniform(-a, a, shape)
 
 
 class Rng:

@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic   4 bytes  b"CRNM"
-    version u32      currently 1
+    version u32      currently 2
     count   u32      number of tensors
     per tensor:
         name length  u16, then UTF-8 name (dotted parameter path)
@@ -29,7 +29,7 @@ from .model import ModelParams, init_model
 from .numerics import Rng, named_arrays
 
 MAGIC = b"CRNM"
-VERSION = 1
+VERSION = 2
 
 
 class ModelFileError(DataError):

@@ -85,12 +85,16 @@ class AdamState:
     epsilon: float = 1e-8
 
 
-def init_adam(params, lr: float = 0.002, beta1: float = 0.1,
-              beta2: float = 0.001, epsilon: float = 1e-8) -> AdamState:
+def _check_adam(lr: float, beta1: float, beta2: float, epsilon: float) -> None:
     if lr <= 0 or epsilon <= 0:
         raise ValueError("lr and epsilon must be positive")
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ValueError("beta1 and beta2 must lie in [0, 1)")
+
+
+def init_adam(params, lr: float = 0.002, beta1: float = 0.1,
+              beta2: float = 0.001, epsilon: float = 1e-8) -> AdamState:
+    _check_adam(lr, beta1, beta2, epsilon)
     return AdamState(m=zeros_like_tree(params), v=zeros_like_tree(params),
                      lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
 
@@ -135,6 +139,7 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        _check_adam(self.lr, self.beta1, self.beta2, self.epsilon)
 
 
 @dataclass

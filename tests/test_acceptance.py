@@ -24,11 +24,12 @@ import pytest
 
 from fdtools import TOL, model_ce_check, probe_layer_check
 from test_cli import write_run_config, write_split
+from test_framing import make_windows
 
 from crnn import cli
 from crnn.cells import BlstmParams, blstm_forward, init_blstm, init_lstm, lstm_forward
 from crnn.data import MelConfig, gen_order_task, log_mel
-from crnn.framing import WindowSpec, make_windows, window_count
+from crnn.framing import WindowSpec, stack_windows, window_count
 from crnn.layers import (
     REDUCTIONS,
     SOURCES,
@@ -164,6 +165,10 @@ def test_criterion_04_exhaustive_framing():
                 assert len(got) == len(starts)
                 for w, s in zip(got, starts):
                     np.testing.assert_array_equal(w, x[:, s:s + width])
+                stacked = stack_windows(x, spec)
+                assert stacked.shape == (width, 1, len(starts))
+                for i, w in enumerate(got):
+                    np.testing.assert_array_equal(stacked[:, :, i], w.T)
                 checked += 1
     report(4, f"{checked} (length, width, shift) combinations vs enumeration")
 

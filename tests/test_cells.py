@@ -3,7 +3,6 @@ import pytest
 
 from crnn.cells import (
     BlstmParams,
-    ExtendedLstmParams,
     LstmParams,
     blstm_backward,
     blstm_forward,
@@ -14,7 +13,7 @@ from crnn.cells import (
     lstm_forward,
     lstm_step,
 )
-from crnn.numerics import Rng, ShapeError, named_arrays, zeros_like_tree
+from crnn.numerics import Rng, ShapeError, init_params, named_arrays, zeros_like_tree
 from crnn.training import fd_check
 
 from fdtools import TOL
@@ -32,23 +31,17 @@ def seq(a: np.ndarray) -> np.ndarray:
 
 def zero_lstm(n: int, k: int) -> LstmParams:
     z = np.zeros
-    return LstmParams(
-        W_xi=z((n, k)), W_xf=z((n, k)), W_xc=z((n, k)), W_xo=z((n, k)),
-        W_hi=z((n, n)), W_hf=z((n, n)), W_hc=z((n, n)), W_ho=z((n, n)),
-        W_ci=z((n, n)), W_cf=z((n, n)), W_co=z((n, n)),
-        b_i=z(n), b_f=z(n), b_c=z(n), b_o=z(n))
+    return LstmParams(W_x=z((4 * n, k)), W_h=z((4 * n, n)), W_c=z((3 * n, n)), b=z(4 * n))
 
 
 def accumulator_lstm(b_f: float = 100.0, b_c: float = 0.0) -> LstmParams:
     """Scalar cell with saturated gates: c_t = f*c_{t-1} + tanh(x_t + b_c)
     where i = o = 1 and f = sigmoid(b_f) exactly (sigmoid(100) rounds to
-    1.0 in float64, sigmoid(-100) * c contributes below resolution)."""
+    1.0 in float64, sigmoid(-100) * c contributes below resolution).  Gate
+    blocks are one row each, in the order i, f, c, o."""
     p = zero_lstm(1, 1)
-    p.W_xc[0, 0] = 1.0
-    p.b_i[0] = 100.0
-    p.b_f[0] = b_f
-    p.b_o[0] = 100.0
-    p.b_c[0] = b_c
+    p.W_x[2, 0] = 1.0
+    p.b[:] = [100.0, b_f, b_c, 100.0]
     return p
 
 
@@ -144,10 +137,8 @@ class TestExtendedLstm:
     def test_matches_plain_lstm_when_frames_tied(self):
         plain = init_lstm(2, 3, Rng(4))
         ext = init_extended_lstm(2, 3, width=4, rng=Rng(0))
-        for name in ("W_xi", "W_xf", "W_xc", "W_xo"):
-            getattr(ext, name)[:] = getattr(plain, name)[None, :, :]
-        for name in ("W_hi", "W_hf", "W_hc", "W_ho", "W_ci", "W_cf", "W_co",
-                     "b_i", "b_f", "b_c", "b_o"):
+        ext.W_x[:] = plain.W_x[None, :, :]
+        for name in ("W_h", "W_c", "b"):
             getattr(ext, name)[...] = getattr(plain, name)
         x = one(Rng(5).normal(0, 1, (2, 4)))
         np.testing.assert_array_equal(lstm_forward(ext, x).h, lstm_forward(plain, x).h)
@@ -156,10 +147,46 @@ class TestExtendedLstm:
         ext = init_extended_lstm(1, 1, width=2, rng=Rng(1))
         x = one([[1.0, 1.0]])
         base = seq(lstm_forward(ext, x).h).copy()
-        ext.W_xi[1] += 0.5   # frame 1's input weight only
+        ext.W_x[1, 0] += 0.5   # frame 1's input-gate weight only
         bumped = seq(lstm_forward(ext, x).h)
         assert bumped[0, 0] == base[0, 0]
         assert bumped[0, 1] != base[0, 1]
+
+
+class TestInitOrder:
+    """Each stacked gate block holds the draw a per-gate layout made, in the
+    order W_xi, W_xf, W_xc, W_xo, W_hi..W_ho, W_ci, W_cf, W_co, so seeded
+    runs keep their numbers."""
+
+    def test_init_lstm(self):
+        n, k = 3, 2
+        rng = Rng(5)
+        p = init_lstm(k, n, rng)
+        ref = Rng(5)
+        W_x = [init_params((n, k), ref) for _ in "ifco"]
+        W_h = [init_params((n, n), ref) for _ in "ifco"]
+        W_c = [init_params((n, n), ref) for _ in "ifo"]
+        np.testing.assert_array_equal(p.W_x, np.concatenate(W_x))
+        np.testing.assert_array_equal(p.W_h, np.concatenate(W_h))
+        np.testing.assert_array_equal(p.W_c, np.concatenate(W_c))
+        np.testing.assert_array_equal(p.b, np.zeros(4 * n))
+        assert rng.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)
+
+    def test_init_extended_lstm(self):
+        n, k, width = 2, 3, 4
+        rng = Rng(6)
+        p = init_extended_lstm(k, n, width, rng)
+        ref = Rng(6)
+        W_x = [[init_params((n, k), ref) for _ in range(width)] for _ in "ifco"]
+        W_h = [init_params((n, n), ref) for _ in "ifco"]
+        W_c = [init_params((n, n), ref) for _ in "ifo"]
+        assert p.W_x.shape == (width, 4 * n, k)
+        for t in range(width):
+            np.testing.assert_array_equal(p.W_x[t], np.concatenate([g[t] for g in W_x]))
+        np.testing.assert_array_equal(p.W_h, np.concatenate(W_h))
+        np.testing.assert_array_equal(p.W_c, np.concatenate(W_c))
+        np.testing.assert_array_equal(p.b, np.zeros(4 * n))
+        assert rng.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +261,7 @@ class TestLstmBackward:
         dc[-1, 0, 0] = 1.0
         grads, _ = lstm_backward(p, trace, dc=dc)
         expect = np.sum(1.0 - np.tanh(x[0] + b_c) ** 2)
-        assert grads.b_c[0] == pytest.approx(expect, rel=1e-12)
+        assert grads.b[2] == pytest.approx(expect, rel=1e-12)
 
     def test_zero_upstream_gives_zero_grads(self):
         p = init_lstm(2, 3, Rng(0))
@@ -268,8 +295,8 @@ class TestExtendedLstmBackward:
         x = rng.split().normal(0, 1, (k, T))
         assert lstm_probe_check(p, x, seed + 300, "both") < TOL
         grads, _ = lstm_backward(p, lstm_forward(p, one(x)), dh=np.ones((T, n, 1)))
-        assert type(grads) is ExtendedLstmParams
-        assert grads.W_xi.shape == (T, n, k)
+        assert type(grads) is LstmParams
+        assert grads.W_x.shape == (T, 4 * n, k)
 
 
 class TestBlstm:
@@ -347,6 +374,11 @@ class TestLayout:
     def test_lstm_step_rejects_other_ranks(self, shape):
         with pytest.raises(ShapeError):
             lstm_step(init_lstm(2, 3, Rng(0)), np.zeros(shape),
+                      np.zeros((3, 1)), np.zeros((3, 1)))
+
+    def test_lstm_step_rejects_extended_lstm(self):
+        with pytest.raises(ShapeError):
+            lstm_step(init_extended_lstm(2, 3, 4, Rng(0)), np.zeros((2, 1)),
                       np.zeros((3, 1)), np.zeros((3, 1)))
 
     def test_lstm_step_rejects_vector_state(self):

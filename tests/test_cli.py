@@ -127,7 +127,7 @@ class TestTrain:
         cfg = write_run_config(tmp_path, train_tsv, val_tsv)
         assert cli.main(["train", "--config", str(cfg)]) == 4
         err = capsys.readouterr().err
-        assert "error: numeric: non-finite gradient in layers.0.lstm.W_xi at epoch 1" in err
+        assert "error: numeric: non-finite gradient in layers.0.lstm.W_x at epoch 1" in err
         assert not (tmp_path / "out" / "model.bin").exists()
 
 

@@ -5,16 +5,22 @@ from hypothesis import strategies as st
 
 from crnn.framing import (
     WindowSpec,
-    make_windows,
     max_pool_backward,
     max_pool_forward,
-    max_pool_sequence,
     scatter_windows_add,
     stack_windows,
     window_count,
     window_starts,
 )
-from crnn.numerics import Rng
+from crnn.numerics import Rng, as_matrix
+
+
+def make_windows(x: np.ndarray, spec: WindowSpec) -> list[np.ndarray]:
+    """Brute-force oracle for ``stack_windows``: copy out each k-by-width
+    window of a k-by-l sequence, trying every start shift columns apart."""
+    x = as_matrix(x)
+    return [x[:, s:s + spec.width].copy()
+            for s in range(0, x.shape[1] - spec.width + 1, spec.shift)]
 
 
 def brute_force_count(length: int, width: int, shift: int) -> int:
@@ -99,15 +105,15 @@ class TestScatterAdjoint:
 
 class TestMaxPool:
     def test_pairwise_max(self):
-        out = max_pool_sequence(np.array([[1.0, 3.0, 2.0, 5.0]]), WindowSpec(2, 2))
+        out, _ = max_pool_forward(np.array([[1.0, 3.0, 2.0, 5.0]]), WindowSpec(2, 2))
         np.testing.assert_array_equal(out, [[3.0, 5.0]])
 
     def test_identity_pool(self):
         x = Rng(0).normal(0, 1, (3, 7))
-        np.testing.assert_array_equal(max_pool_sequence(x, WindowSpec(1, 1)), x)
+        np.testing.assert_array_equal(max_pool_forward(x, WindowSpec(1, 1))[0], x)
 
     def test_constant_sequence(self):
-        out = max_pool_sequence(np.full((2, 8), 4.5), WindowSpec(3, 2))
+        out, _ = max_pool_forward(np.full((2, 8), 4.5), WindowSpec(3, 2))
         np.testing.assert_array_equal(out, np.full((2, 3), 4.5))
 
     @given(st.integers(2, 15), st.integers(1, 5), st.integers(1, 5), st.integers(0, 10))
@@ -116,7 +122,7 @@ class TestMaxPool:
         if window_count(length, spec) == 0:
             return
         x = Rng(seed).normal(0, 1, (4, length))
-        out = max_pool_sequence(x, spec)
+        out, _ = max_pool_forward(x, spec)
         covered = x[:, :(window_count(length, spec) - 1) * shift + width]
         assert np.all(out <= covered.max(axis=1, keepdims=True))
         assert np.all(out >= covered.min(axis=1, keepdims=True))
@@ -125,8 +131,8 @@ class TestMaxPool:
         x = Rng(3).normal(0, 1, (5, 9))
         spec = WindowSpec(3, 2)
         perm = Rng(4).permutation(5)
-        np.testing.assert_array_equal(max_pool_sequence(x[perm], spec),
-                                      max_pool_sequence(x, spec)[perm])
+        np.testing.assert_array_equal(max_pool_forward(x[perm], spec)[0],
+                                      max_pool_forward(x, spec)[0][perm])
 
     def test_ties_go_to_first_column(self):
         x = np.array([[2.0, 2.0, 1.0]])
@@ -162,9 +168,9 @@ class TestMaxPool:
         for i in range(2):
             for j in range(length):
                 x[i, j] += step
-                up = float(np.sum(probe * max_pool_sequence(x, spec)))
+                up = float(np.sum(probe * max_pool_forward(x, spec)[0]))
                 x[i, j] -= 2 * step
-                down = float(np.sum(probe * max_pool_sequence(x, spec)))
+                down = float(np.sum(probe * max_pool_forward(x, spec)[0]))
                 x[i, j] += step
                 assert dx[i, j] == pytest.approx((up - down) / (2 * step), abs=1e-6)
 

@@ -109,12 +109,11 @@ class TestTrees:
 
     def test_named_arrays_order_and_names(self):
         names = [n for n, _ in named_arrays(self._bundle())]
-        assert names == ["W_xi", "W_xf", "W_xc", "W_xo", "W_hi", "W_hf", "W_hc", "W_ho",
-                         "W_ci", "W_cf", "W_co", "b_i", "b_f", "b_c", "b_o"]
+        assert names == ["W_x", "W_h", "W_c", "b"]
 
     def test_named_arrays_nested_dotted(self):
         names = [n for n, _ in named_arrays(init_blstm(2, 3, 4, Rng(0)))]
-        assert "fwd.W_xi" in names and "bwd.b_o" in names and "W_fy" in names
+        assert "fwd.W_x" in names and "bwd.b" in names and "W_fy" in names
         # the `source` string field is config, not a parameter
         assert all("source" not in n for n in names)
 
@@ -122,13 +121,13 @@ class TestTrees:
         p = self._bundle()
         doubled = tree_map(lambda a: 2.0 * a, p)
         assert type(doubled) is type(p)
-        np.testing.assert_array_equal(doubled.W_xi, 2.0 * p.W_xi)
+        np.testing.assert_array_equal(doubled.W_x, 2.0 * p.W_x)
 
     def test_tree_copy_is_deep(self):
         p = self._bundle()
         q = tree_copy(p)
-        q.W_xi[0, 0] += 1.0
-        assert p.W_xi[0, 0] != q.W_xi[0, 0]
+        q.W_x[0, 0] += 1.0
+        assert p.W_x[0, 0] != q.W_x[0, 0]
 
     def test_zeros_like(self):
         z = zeros_like_tree(self._bundle())

@@ -59,13 +59,15 @@ class TestTensorFile:
             read_tensors(path)
 
     def test_unsupported_version(self, tmp_path):
+        # version 1 files hold one tensor per LSTM gate, which no longer loads
         path = tmp_path / "t.bin"
         write_tensors(path, [("x", np.zeros(2))])
         blob = bytearray(path.read_bytes())
-        blob[4] = 9
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ModelFileError, match="version"):
-            read_tensors(path)
+        for version in (1, 9):
+            blob[4] = version
+            path.write_bytes(bytes(blob))
+            with pytest.raises(ModelFileError, match=f"unsupported model file version {version}"):
+                read_tensors(path)
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "t.bin"

@@ -364,3 +364,12 @@ class TestTrainConfigValidation:
     def test_rejects_bad_patience(self):
         with pytest.raises(ValueError):
             TrainConfig(patience=0)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(lr=0.0), "lr and epsilon must be positive"),
+        (dict(epsilon=0.0), "lr and epsilon must be positive"),
+        (dict(beta1=1.0), r"beta1 and beta2 must lie in \[0, 1\)"),
+    ])
+    def test_rejects_bad_adam_settings(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**kwargs)
