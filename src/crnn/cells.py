@@ -29,12 +29,23 @@ from o_t into c_t before the cell gradient fans out to the other gates.
 All backward passes are hand-derived; the test suite pins them against
 central finite differences.
 
-Every sequence is a (T, k, B) stack of B equal-length sequences: step t
-is a k-by-B block of column vectors.  Layers run one cell over every
-window of a sequence at once this way; one sequence is a batch of one
+Every sequence is a (T, k, B) stack of B sequences: step t is a k-by-B
+block of column vectors.  Layers run one cell over every window of every
+clip at once this way; one sequence is a batch of one
 (``x.T[:, :, None]``).  States, outputs and their gradients keep the
-same layout.  Gradient bundles reuse the parameter dataclasses: a
-returned ``LstmParams`` holds d(loss)/d(parameter) in each field.
+same layout.  ``lengths`` packs sequences of their own lengths: sorted
+longest first and zero-padded to T steps, step t runs only the first b_t
+columns, those longer than t, so a column's states and gradients are
+those of its own unpadded run, and zero past its end.  Gradient bundles
+reuse the parameter dataclasses: a returned ``LstmParams`` holds
+d(loss)/d(parameter) in each field.
+
+The kernel works in place: one step writes its gates into a slice of a
+(T, 4n, B) buffer and its states behind a leading zero block, so the
+backward pass reads h_{t-1} and c_{t-1} as views.  The backward pass
+keeps the gate gradients as (4n, T*B) columns and forms each weight
+gradient as one GEMM after the time loop; accumulating them step by step
+inside the loop is slower at the narrow head batches.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, ShapeError, init_params, sigmoid
+from .numerics import Rng, ShapeError, init_params, sigmoid_
 
 
 @dataclass
@@ -121,10 +132,39 @@ def _to_steps(x: np.ndarray) -> np.ndarray:
     return xs
 
 
-def _upstream(d, shape: tuple[int, ...]) -> np.ndarray:
+def _check_lengths(lengths, T: int, B: int) -> np.ndarray | None:
+    if lengths is None:
+        return None
+    counts = [int(v) for v in np.ravel(lengths)]
+    if (len(counts) != B or not T >= counts[0] >= counts[-1] >= 1
+            or any(a < b for a, b in zip(counts, counts[1:]))):
+        raise ShapeError(f"lengths must be {B} non-increasing step counts in "
+                         f"[1, {T}], got {counts}")
+    return np.array(counts)
+
+
+def _active(lengths: np.ndarray | None, T: int, B: int) -> list[int]:
+    """Number of columns still running at each step: a prefix, since the
+    lengths are sorted longest first."""
+    if lengths is None:
+        return [B] * T
+    return (B - np.searchsorted(lengths[::-1], np.arange(T), side="right")).tolist()
+
+
+def _reverse(a: np.ndarray, lengths: np.ndarray | None) -> np.ndarray:
+    """Reverse each column's first lengths[b] steps of a (T, ., B) stack,
+    leaving the zero padding after them in place."""
+    if lengths is None:
+        return np.ascontiguousarray(a[::-1])
+    t = np.arange(len(a))[:, None]
+    src = np.where(t < lengths, lengths - 1 - t, t)
+    return np.take_along_axis(a, src[:, None, :], axis=0)
+
+
+def _upstream(d, shape: tuple[int, ...]) -> np.ndarray | None:
     """An upstream gradient in the trace layout; None stands for zero."""
     if d is None:
-        return np.zeros(shape)
+        return None
     d = np.asarray(d, dtype=np.float64)
     if d.shape != shape:
         raise ShapeError(f"upstream gradient shape {d.shape} does not match trace {shape}")
@@ -136,42 +176,63 @@ def _sum_td(d: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.tensordot(d, s, axes=([0, 2], [0, 2]))
 
 
+def _columns(a: np.ndarray) -> np.ndarray:
+    """(T, m, B) -> (m, T*B), step-major: one GEMM then reduces over every
+    step and column at once."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(a.shape[1], -1)
+
+
 # ---------------------------------------------------------------------------
 # Peephole LSTM.
 
-# the per-step arrays _lstm_gates returns, in order
-_STATES = ("i", "f", "g", "o", "c", "tanh_c", "h")
-
-
 @dataclass
 class LstmTrace:
-    """Everything the backward pass needs: the (T, k, B) input and one
-    (T, n, B) array per state."""
-    x: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray       # tanh of the cell input, the candidate cell update
-    o: np.ndarray
-    c: np.ndarray
-    h: np.ndarray
-    tanh_c: np.ndarray
+    """Everything the backward pass needs.  ``gates[t]`` stacks step t's
+    i, f, g, o (n rows each); the cell and hidden states sit behind a zero
+    block, so step t reads C[t], H[t] and writes C[t + 1], H[t + 1].  In a
+    packed run, entries past a column's length stay zero."""
+    x: np.ndarray          # (T, k, B)
+    gates: np.ndarray      # (T, 4n, B)
+    C: np.ndarray          # (T + 1, n, B)
+    H: np.ndarray          # (T + 1, n, B)
+    tanh_c: np.ndarray     # (T, n, B)
+    lengths: np.ndarray | None = None   # per-column step counts, longest first
+
+    def _gate(self, g: int) -> np.ndarray:
+        n = self.C.shape[1]
+        return self.gates[:, g * n:(g + 1) * n]
+
+    i = property(lambda self: self._gate(0))
+    f = property(lambda self: self._gate(1))
+    g = property(lambda self: self._gate(2), doc="tanh of the cell input")
+    o = property(lambda self: self._gate(3))
+    c = property(lambda self: self.C[1:])
+    h = property(lambda self: self.H[1:])
 
 
-def _lstm_gates(W_x, p, x_t, h_prev, c_prev):
-    """One LSTM step on column batches; W_x is this frame's (4n, k) input
-    matrix (``p.W_x`` itself for a plain LSTM).  Returns the arrays named
-    in ``_STATES``."""
+def _lstm_gates(W_x, p, x_t, h_prev, c_prev, a, c, tc, h, tmp) -> None:
+    """One LSTM step on column batches, in place: the gates i, f, g, o go
+    to the (4n, b) block ``a`` and the states to ``c``, ``tc`` = tanh(c)
+    and ``h``; ``tmp`` is (4n, b) scratch.  W_x is this frame's (4n, k)
+    input matrix (``p.W_x`` itself for a plain LSTM)."""
     n = p.n
-    a = (W_x @ x_t + p.b[:, None]) + p.W_h @ h_prev
-    a[:2 * n] += p.W_c[:2 * n] @ c_prev
-    i_f = sigmoid(a[:2 * n])
-    i, f = i_f[:n], i_f[n:]
-    g = np.tanh(a[2 * n:3 * n])
-    c = f * c_prev + i * g
-    o = sigmoid(a[3 * n:] + p.W_c[2 * n:] @ c)
-    tc = np.tanh(c)
-    h = o * tc
-    return i, f, g, o, c, tc, h
+    np.matmul(W_x, x_t, out=a)
+    a += p.b[:, None]
+    np.matmul(p.W_h, h_prev, out=tmp)
+    a += tmp
+    np.matmul(p.W_c[:2 * n], c_prev, out=tmp[:2 * n])
+    a[:2 * n] += tmp[:2 * n]
+    sigmoid_(a[:2 * n])
+    i, f, g, o = a[:n], a[n:2 * n], a[2 * n:3 * n], a[3 * n:]
+    np.tanh(g, out=g)
+    np.multiply(f, c_prev, out=c)
+    np.multiply(i, g, out=tmp[:n])
+    c += tmp[:n]
+    np.matmul(p.W_c[2 * n:], c, out=tmp[:n])
+    o += tmp[:n]
+    sigmoid_(o)
+    np.tanh(c, out=tc)
+    np.multiply(o, tc, out=h)
 
 
 def lstm_step(p: LstmParams, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
@@ -185,29 +246,39 @@ def lstm_step(p: LstmParams, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.nda
     if p.W_x.ndim != 2:
         raise ShapeError("lstm_step takes a plain LSTM; an extended LSTM's input "
                          "weights depend on the frame position")
-    i, f, g, o, c, tc, h = _lstm_gates(p.W_x, p, x_t, h_prev, c_prev)
-    return h, c, {"i": i, "f": f, "g": g, "o": o, "tanh_c": tc}
+    n, B = p.n, x_t.shape[1]
+    a = np.empty((4 * n, B))
+    c, tc, h = np.empty((n, B)), np.empty((n, B)), np.empty((n, B))
+    _lstm_gates(p.W_x, p, x_t, np.asarray(h_prev, dtype=np.float64),
+                np.asarray(c_prev, dtype=np.float64), a, c, tc, h, np.empty((4 * n, B)))
+    return h, c, {"i": a[:n], "f": a[n:2 * n], "g": a[2 * n:3 * n], "o": a[3 * n:],
+                  "tanh_c": tc}
 
 
-def lstm_forward(p: LstmParams, x: np.ndarray) -> LstmTrace:
-    """Iterate the cell from h_0 = c_0 = 0 over a (T, k, B) stack."""
+def lstm_forward(p: LstmParams, x: np.ndarray, lengths=None) -> LstmTrace:
+    """Iterate the cell from h_0 = c_0 = 0 over a (T, k, B) stack.
+
+    ``lengths``, if given, packs B sequences of their own lengths, sorted
+    longest first and zero-padded to T steps: step t then runs only the
+    columns whose length exceeds t.
+    """
     xs = _to_steps(x)
     T, _, B = xs.shape
     per_frame = p.W_x.ndim == 3
     if per_frame and T != len(p.W_x):
         raise ShapeError(
             f"extended LSTM has per-frame weights for width {len(p.W_x)}, got length {T}")
+    lengths = _check_lengths(lengths, T, B)
     n = p.n
-    arrs = {name: np.empty((T, n, B)) for name in _STATES}
-    h = np.zeros((n, B))
-    c = np.zeros((n, B))
-    for t in range(T):
+    tr = LstmTrace(x=xs, gates=np.zeros((T, 4 * n, B)), C=np.zeros((T + 1, n, B)),
+                   H=np.zeros((T + 1, n, B)), tanh_c=np.zeros((T, n, B)), lengths=lengths)
+    tmp = np.empty((4 * n, B))
+    for t, b in enumerate(_active(lengths, T, B)):
         W_x = p.W_x[t] if per_frame else p.W_x
-        for name, v in zip(_STATES, _lstm_gates(W_x, p, xs[t], h, c)):
-            arrs[name][t] = v
-        h = arrs["h"][t]
-        c = arrs["c"][t]
-    return LstmTrace(x=xs, **arrs)
+        _lstm_gates(W_x, p, xs[t, :, :b], tr.H[t, :, :b], tr.C[t, :, :b],
+                    tr.gates[t, :, :b], tr.C[t + 1, :, :b], tr.tanh_c[t, :, :b],
+                    tr.H[t + 1, :, :b], tmp[:, :b])
+    return tr
 
 
 def lstm_backward(p: LstmParams, trace: LstmTrace, dh=None, dc=None
@@ -215,53 +286,80 @@ def lstm_backward(p: LstmParams, trace: LstmTrace, dh=None, dc=None
     """Reverse-mode gradients through the full recurrence.
 
     dh and dc are the (T, n, B) loss gradients with respect to the hidden
-    and cell sequences (either may be omitted).  Returns a gradient bundle
-    shaped like ``p`` and the (T, k, B) gradient with respect to the input.
+    and cell sequences (either may be omitted; in a packed run, entries
+    past a column's length are ignored).  Returns a gradient bundle shaped
+    like ``p`` and the (T, k, B) gradient with respect to the input.
     """
     T, n, B = trace.h.shape
     dH = _upstream(dh, trace.h.shape)
     dC = _upstream(dc, trace.c.shape)
 
-    H_prev = np.concatenate([np.zeros((1, n, B)), trace.h[:-1]], axis=0)
-    C_prev = np.concatenate([np.zeros((1, n, B)), trace.c[:-1]], axis=0)
-
-    # gradients of the stacked gate pre-activations, blocks i, f, c, o
-    dA = np.empty((T, 4 * n, B))
+    # gradients of the stacked gate pre-activations, blocks i, f, c, o, laid
+    # out (4n, T, B) so the weight gradients below are plain GEMMs
+    dA = np.zeros((4 * n, T, B))
     W_hT = p.W_h.T
     W_ifT = p.W_c[:2 * n].T
     W_oT = p.W_c[2 * n:].T
-    dh_carry = np.zeros((n, B))
-    dc_carry = np.zeros((n, B))
+    dh_carry, dc_carry = np.zeros((n, B)), np.zeros((n, B))
+    dh_buf, dc_buf, t1, t2 = (np.empty((n, B)) for _ in range(4))
+    active = _active(trace.lengths, T, B)
     for t in reversed(range(T)):
-        i, f, g, o = trace.i[t], trace.f[t], trace.g[t], trace.o[t]
-        tc = trace.tanh_c[t]
-        da = dA[t]
-        dh_t = dH[t] + dh_carry
+        b = active[t]
+        gates = trace.gates[t, :, :b]
+        i, f, g, o = gates[:n], gates[n:2 * n], gates[2 * n:3 * n], gates[3 * n:]
+        tc, c_prev = trace.tanh_c[t, :, :b], trace.C[t, :, :b]
+        da = dA[:, t, :b]
+        da_i, da_f, da_g, da_o = da[:n], da[n:2 * n], da[2 * n:3 * n], da[3 * n:]
+        s1, s2 = t1[:, :b], t2[:, :b]
+        dh_t = dh_carry[:, :b]
+        if dH is not None:
+            dh_t = np.add(dH[t, :, :b], dh_t, out=dh_buf[:, :b])
         # h_t = o_t * tanh(c_t); o_t feeds nothing else
-        do = dh_t * tc
-        da[3 * n:] = do * o * (1.0 - o)
-        # c_t collects: its h_t use, the o_t peephole, any external dc, and
-        # the carry from step t+1
-        dc_t = dC[t] + dc_carry + dh_t * o * (1.0 - tc * tc) + W_oT @ da[3 * n:]
-        da[:n] = (dc_t * g) * i * (1.0 - i)
-        da[n:2 * n] = (dc_t * C_prev[t]) * f * (1.0 - f)
-        da[2 * n:3 * n] = (dc_t * i) * (1.0 - g * g)
-        dh_carry = W_hT @ da
+        np.multiply(dh_t, tc, out=da_o)
+        da_o *= o
+        da_o *= np.subtract(1.0, o, out=s1)
+        # c_t collects: any external dc, the carry from step t+1, its h_t
+        # use, and the o_t peephole
+        dc_t = dc_buf[:, :b]
+        np.multiply(dh_t, o, out=s2)
+        np.multiply(tc, tc, out=s1)
+        s2 *= np.subtract(1.0, s1, out=s1)
+        if dC is not None:
+            np.add(dC[t, :, :b], dc_carry[:, :b], out=dc_t)
+            dc_t += s2
+        else:
+            np.add(dc_carry[:, :b], s2, out=dc_t)
+        dc_t += np.matmul(W_oT, da_o, out=s1)
+        np.multiply(dc_t, g, out=da_i)
+        da_i *= i
+        da_i *= np.subtract(1.0, i, out=s1)
+        np.multiply(dc_t, c_prev, out=da_f)
+        da_f *= f
+        da_f *= np.subtract(1.0, f, out=s1)
+        np.multiply(dc_t, i, out=da_g)
+        np.multiply(g, g, out=s1)
+        da_g *= np.subtract(1.0, s1, out=s1)
+        np.matmul(W_hT, da, out=dh_carry[:, :b])
         # c_{t-1} paths: the f_t product plus the i/f peepholes
-        dc_carry = dc_t * f + W_ifT @ da[:2 * n]
+        np.matmul(W_ifT, da[:2 * n], out=s1)
+        np.multiply(dc_t, f, out=dc_carry[:, :b])
+        dc_carry[:, :b] += s1
 
+    A = dA.reshape(4 * n, T * B)
+    H = _columns(trace.H)[:, :T * B]       # h_{t-1}, step-major
+    C = _columns(trace.C)
+    gW_c = np.empty((3 * n, n))
+    np.matmul(A[:2 * n], C[:, :T * B].T, out=gW_c[:2 * n])
+    np.matmul(A[3 * n:], C[:, B:].T, out=gW_c[2 * n:])
     if p.W_x.ndim == 3:
-        gW_x = np.matmul(dA, trace.x.transpose(0, 2, 1))
+        steps = dA.transpose(1, 0, 2)
+        gW_x = np.matmul(steps, trace.x.transpose(0, 2, 1))
+        dx = np.matmul(p.W_x.swapaxes(-1, -2), steps)
     else:
-        gW_x = _sum_td(dA, trace.x)
-    grads = LstmParams(
-        W_x=gW_x,
-        W_h=_sum_td(dA, H_prev),
-        W_c=np.concatenate([_sum_td(dA[:, :2 * n], C_prev),
-                            _sum_td(dA[:, 3 * n:], trace.c)]),
-        b=dA.sum(axis=(0, 2)),
-    )
-    return grads, np.matmul(p.W_x.swapaxes(-1, -2), dA)
+        gW_x = A @ _columns(trace.x).T
+        dx = (p.W_x.T @ A).reshape(-1, T, B).transpose(1, 0, 2)
+    grads = LstmParams(W_x=gW_x, W_h=A @ H.T, W_c=gW_c, b=A.sum(axis=1))
+    return grads, dx
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +368,20 @@ def lstm_backward(p: LstmParams, trace: LstmTrace, dh=None, dc=None
 def _blstm_states(p: BlstmParams, fwd_trace: LstmTrace, bwd_trace: LstmTrace):
     s_f = fwd_trace.h if p.source == "hidden" else fwd_trace.c
     s_b = bwd_trace.h if p.source == "hidden" else bwd_trace.c
-    return s_f, s_b[::-1]  # backward states re-aligned to the input axis
+    # backward states re-aligned to the input axis
+    return s_f, _reverse(s_b, bwd_trace.lengths)
 
 
-def blstm_forward(p: BlstmParams, x: np.ndarray
+def blstm_forward(p: BlstmParams, x: np.ndarray, lengths=None
                   ) -> tuple[np.ndarray, LstmTrace, LstmTrace]:
     """Both directions from zero state over a (T, k, B) stack plus the
-    learned (T, d, B) combination of their hidden (or cell) sequences."""
+    learned (T, d, B) combination of their hidden (or cell) sequences.
+    ``lengths`` packs sequences as in ``lstm_forward``; the backward
+    direction then reads each column from its own last step."""
     xs = _to_steps(x)
-    fwd_trace = lstm_forward(p.fwd, xs)
-    bwd_trace = lstm_forward(p.bwd, np.ascontiguousarray(xs[::-1]))
+    lengths = _check_lengths(lengths, xs.shape[0], xs.shape[2])
+    fwd_trace = lstm_forward(p.fwd, xs, lengths)
+    bwd_trace = lstm_forward(p.bwd, _reverse(xs, lengths), lengths)
     s_f, s_b = _blstm_states(p, fwd_trace, bwd_trace)
     y = np.matmul(p.W_fy, s_f) + np.matmul(p.W_by, s_b) + p.b_y[None, :, None]
     return y, fwd_trace, bwd_trace
@@ -288,21 +390,25 @@ def blstm_forward(p: BlstmParams, x: np.ndarray
 def blstm_backward(p: BlstmParams, fwd_trace: LstmTrace, bwd_trace: LstmTrace,
                    dy: np.ndarray) -> tuple[BlstmParams, np.ndarray]:
     """Gradients through the combination and both recurrences, given the
-    (T, d, B) upstream gradient of the combined output."""
+    (T, d, B) upstream gradient of the combined output (zero past each
+    column's length in a packed run)."""
     T, _, B = fwd_trace.h.shape
     dy = _upstream(dy, (T, p.out_dim, B))
+    if dy is None:
+        dy = np.zeros((T, p.out_dim, B))
     s_f, s_b = _blstm_states(p, fwd_trace, bwd_trace)
+    lengths = fwd_trace.lengths
 
     gW_fy = _sum_td(dy, s_f)
     gW_by = _sum_td(dy, s_b)
     gb_y = dy.sum(axis=(0, 2))
     dS_f = np.matmul(p.W_fy.T, dy)
-    dS_b = np.ascontiguousarray(np.matmul(p.W_by.T, dy)[::-1])
+    dS_b = _reverse(np.matmul(p.W_by.T, dy), lengths)
 
     key = "dh" if p.source == "hidden" else "dc"
     g_f, dx_f = lstm_backward(p.fwd, fwd_trace, **{key: dS_f})
     g_b, dx_b = lstm_backward(p.bwd, bwd_trace, **{key: dS_b})
-    dxs = dx_f + dx_b[::-1]
+    dxs = dx_f + _reverse(dx_b, lengths)
 
     grads = BlstmParams(fwd=g_f, bwd=g_b, W_fy=gW_fy, W_by=gW_by, b_y=gb_y,
                         source=p.source)

@@ -35,7 +35,7 @@ from .framing import WindowSpec
 from .layers import CrnnLayerConfig, SequenceTooShortError
 from .model import ModelConfig, min_sequence_length
 from .numerics import Rng, ShapeError
-from .serialize import load_model, save_model
+from .serialize import load_model, save_model, write_atomic
 from .training import NumericError, evaluate, grad_check, train
 
 GRADCHECK_LIMIT = 1e-4
@@ -110,12 +110,10 @@ def _cmd_train(args) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     metrics = out / "metrics.jsonl"
-    with metrics.open("w") as fh:
-        for rec in result.history:
-            fh.write(json.dumps({"epoch": rec.epoch,
-                                 "train_loss": rec.train_loss,
-                                 "val_ua_recall": rec.val_ua_recall},
-                                sort_keys=True) + "\n")
+    write_atomic(metrics, "".join(
+        json.dumps({"epoch": rec.epoch, "train_loss": rec.train_loss,
+                    "val_ua_recall": rec.val_ua_recall}, sort_keys=True) + "\n"
+        for rec in result.history).encode())
     save_model(out / "model.bin", run, result.params)
     print(f"best epoch {result.best_epoch}  val_ua_recall {result.best_metric:.4f}")
     print(f"wrote {out / 'model.bin'} and {metrics}")
@@ -183,7 +181,11 @@ def _cmd_extract(args) -> int:
     lines = []
     for i, (wav, label, group) in enumerate(entries):
         samples, rate = read_wav(wav)
-        feats = log_mel(samples, MelConfig(sample_rate=rate))
+        try:
+            mel = MelConfig(sample_rate=rate)
+        except ValueError as e:
+            raise DataError(f"{wav}: {e}") from None
+        feats = log_mel(samples, mel)
         name = f"mel{i:06d}.txt"
         write_features(out / name, feats)
         lines.append(f"{name}\t{label}\t{group}")

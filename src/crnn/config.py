@@ -220,6 +220,8 @@ def parse_config(path) -> RunConfig:
         text = path.read_text()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config {path} is not text: {e.reason} at byte {e.start}") from None
     return parse_config_text(text, origin=str(path))
 
 

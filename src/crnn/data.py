@@ -45,6 +45,8 @@ def _read_text(path) -> str:
         return Path(path).read_text()
     except OSError as e:
         raise DataError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path} is not text: {e.reason} at byte {e.start}") from None
 
 
 def _read_bytes(path) -> bytes:
@@ -223,8 +225,10 @@ def read_wav(path) -> tuple[np.ndarray, int]:
         raise WavCodecError(f"{path}: {bits}-bit samples, only 16-bit supported")
     if channels < 1:
         raise WavCodecError(f"{path}: channel count 0")
+    if rate < 1:
+        raise WavCodecError(f"{path}: sample rate 0")
 
-    raw = np.frombuffer(data, dtype="<i2")
+    raw = np.frombuffer(data[:len(data) - len(data) % 2], dtype="<i2")
     raw = raw[:len(raw) - len(raw) % channels]
     samples = raw.astype(np.float64)
     if channels > 1:
@@ -261,6 +265,9 @@ class MelConfig:
                 f"need window > hop > 0, got {self.window_ms} / {self.hop_ms} ms")
         if self.num_filters < 1:
             raise ValueError(f"need at least one filter, got {self.num_filters}")
+        if self.hop_samples < 1:
+            raise ValueError(f"a {self.hop_ms} ms hop is under one sample at "
+                             f"{self.sample_rate} Hz")
 
     @property
     def window_samples(self) -> int:

@@ -7,10 +7,11 @@ sequence per feature.  Trailing frames that do not fill a window are
 dropped, and the recurrent extractors restart from zero state in every
 window, so window w's features depend only on the frames inside w.
 
-A (k, l, B) stack of B equal-length sequences gives an (n, l', B) stack.
-Because every window starts from zero state, the windows of all B
-sequences run through the extractor as one batch; pooling stays inside
-each sequence.
+A list of clips of their own lengths gives a list of outputs.  Because
+every window starts from zero state, the windows of all clips run
+through the extractor as one batch, clip after clip on the column axis;
+reduction and pooling then work on each clip's own column range through
+index arrays, never across a clip boundary.
 
 Extractor kinds:
 
@@ -54,9 +55,9 @@ from .framing import (
     max_pool_forward,
     scatter_windows_add,
     stack_windows,
-    window_count,
+    window_counts,
 )
-from .numerics import ACTIVATIONS, Rng, as_sequences, init_params, relu
+from .numerics import ACTIVATIONS, Rng, as_clips, init_params, relu
 
 KINDS = ("conv", "clstm", "extended_clstm", "cblstm")
 SOURCES = ("hidden", "cell", "output")
@@ -154,13 +155,14 @@ def init_layer(config: CrnnLayerConfig, input_dim: int, rng: Rng):
 
 @dataclass
 class LayerTrace:
-    length: int                          # input frame count
-    windows: np.ndarray                  # (width, k, count * B), window-major
-    prepool: np.ndarray                  # features before pooling (n, count[, B])
+    lengths: np.ndarray                  # input frame count of each clip
+    single: bool                         # the input was one sequence, not a list
+    windows: np.ndarray                  # (width, k, W): every clip's windows in turn
+    prepool: np.ndarray                  # (n, W) features before pooling
     conv_preact: np.ndarray | None = None
     cell_trace: LstmTrace | None = None
     bwd_trace: LstmTrace | None = None   # cblstm only
-    proj_seq: np.ndarray | None = None   # projected/combined sequence (T, n, count)
+    proj_seq: np.ndarray | None = None   # projected/combined sequence (T, n, W)
     time_argmax: np.ndarray | None = None
     pool_argmax: np.ndarray | None = None
 
@@ -189,19 +191,30 @@ def _reduce_backward(dvals: np.ndarray, reduction: str, steps: int,
     return dseq
 
 
-def layer_forward(config: CrnnLayerConfig, params, x: np.ndarray
-                  ) -> tuple[np.ndarray, LayerTrace]:
-    """Apply one layer to a k-by-l sequence (or a (k, l, B) stack); returns
-    (n-by-l' output (or (n, l', B) stack), trace)."""
-    x = as_sequences(x)
-    k, length = x.shape[:2]
-    if window_count(length, config.window) < 1:
-        raise SequenceTooShortError(
-            f"{length} frames cannot fill a window of width {config.window.width}")
-    windows = stack_windows(x, config.window)
-    xw = windows.reshape(config.window.width, k, -1)
+def split_columns(cols: np.ndarray, counts) -> list[np.ndarray]:
+    """Side-by-side clip columns back to one view per clip."""
+    ends = np.cumsum(counts).tolist()
+    return [cols[:, a:b] for a, b in zip([0] + ends, ends)]
 
-    trace = LayerTrace(length=length, windows=xw, prepool=None)
+
+def _check_fill(counts: np.ndarray, sizes, what: str, spec: WindowSpec, unit: str) -> None:
+    short = np.flatnonzero(counts < 1)
+    if short.size:
+        raise SequenceTooShortError(
+            f"{sizes[short[0]]} {unit} cannot fill a {what} of width {spec.width}")
+
+
+def layer_forward(config: CrnnLayerConfig, params, x
+                  ) -> tuple[np.ndarray | list[np.ndarray], LayerTrace]:
+    """Apply one layer to a k-by-l sequence, or to a list of clips; returns
+    (the n-by-l' output, or one per clip, trace)."""
+    clips, single = as_clips(x)
+    lengths = np.array([c.shape[1] for c in clips])
+    counts = window_counts(lengths, config.window)
+    _check_fill(counts, lengths, "window", config.window, "frames")
+    xw = stack_windows(clips, config.window)
+
+    trace = LayerTrace(lengths=lengths, single=single, windows=xw, prepool=None)
     if config.kind == "conv":
         z = np.tensordot(params.weights, xw, axes=([1, 2], [1, 0])) + params.biases[:, None]
         trace.conv_preact = z
@@ -222,35 +235,31 @@ def layer_forward(config: CrnnLayerConfig, params, x: np.ndarray
             trace.proj_seq = seq
         feats, trace.time_argmax = _reduce(seq, config.reduction)
 
-    feats = feats.reshape((feats.shape[0],) + windows.shape[2:])
     trace.prepool = feats
-    if config.pool is None:
-        return feats, trace
-    if window_count(feats.shape[1], config.pool) < 1:
-        raise SequenceTooShortError(
-            f"{feats.shape[1]} windows cannot fill a pool of width {config.pool.width}")
-    out, trace.pool_argmax = max_pool_forward(feats, config.pool)
-    return out, trace
+    if config.pool is not None:
+        pooled = window_counts(counts, config.pool)
+        _check_fill(pooled, counts, "pool", config.pool, "windows")
+        feats, trace.pool_argmax = max_pool_forward(split_columns(feats, counts), config.pool)
+        counts = pooled
+    return (feats if single else split_columns(feats, counts)), trace
 
 
 def layer_backward(config: CrnnLayerConfig, params, trace: LayerTrace,
-                   dout: np.ndarray) -> tuple[object, np.ndarray]:
+                   dout) -> tuple[object, np.ndarray | list[np.ndarray]]:
     """Gradients of a scalar loss through one layer.
 
     ``dout`` matches the layer output; returns (parameter gradients shaped
-    like ``params``, gradient w.r.t. the layer input).
+    like ``params``, gradient w.r.t. the layer input, shaped like it).
     """
+    dfeats = np.asarray(dout if trace.single else np.concatenate(dout, axis=1),
+                        dtype=np.float64)
     if config.pool is not None:
-        dfeats = max_pool_backward(trace.pool_argmax, np.asarray(dout, float),
-                                   trace.prepool.shape[1])
-    else:
-        dfeats = np.asarray(dout, dtype=np.float64)
+        dfeats = max_pool_backward(trace.pool_argmax, dfeats, trace.prepool.shape[1])
 
     xw = trace.windows
-    steps, k, cols = xw.shape
-    dfeats = dfeats.reshape(-1, cols)
+    steps = xw.shape[0]
     if config.kind == "conv":
-        f = trace.prepool.reshape(-1, cols)
+        f = trace.prepool
         act = config.activation
         if act == "sigmoid":
             dz = dfeats * f * (1.0 - f)
@@ -276,9 +285,8 @@ def layer_backward(config: CrnnLayerConfig, params, trace: LayerTrace,
         lstm_grads, dxw = lstm_backward(params.lstm, trace.cell_trace, **{key: dseq})
         grads = ClstmParams(lstm=lstm_grads, proj=proj_grads)
 
-    dxw = dxw.reshape((steps, k) + trace.prepool.shape[1:])
-    dx = scatter_windows_add(dxw, config.window, trace.length)
-    return grads, dx
+    dx = scatter_windows_add(dxw, config.window, trace.lengths)
+    return grads, (dx if trace.single else split_columns(dx, trace.lengths))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,13 @@ the last few) and the prediction is the argmax of the average.  The
 backward pass mirrors the forward exactly and is verified against finite
 differences in the test suite.
 
-The input is one k-by-l sequence or a (k, l, B) stack of B equal-length
-sequences.  A stack runs as one batch through every layer: the head reads
-a (T, k', B) sequence stack, and the dense and softmax layers see T*B
-columns, t-major.  Averaging and everything after it stay per sequence.
+The input is one k-by-l sequence or a list of k-by-l_j clips of their
+own lengths.  A list runs as one batch through every layer.  The head
+packs the clips longest first into a zero-padded (T, k', B) stack and
+runs, at step t, only the clips still longer than t (the idea behind
+PyTorch's PackedSequence); the dense and softmax layers then see just the
+sum of l_j real steps, as columns side by side, clip by clip.  Averaging
+and everything after it stay per clip.
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ from .layers import (
     layer_forward,
     softmax_backward,
     softmax_columns,
+    split_columns,
 )
-from .numerics import Rng, as_sequences
+from .numerics import Rng, as_clips
 
 CLASSIFIERS = ("lstm", "blstm")
 AGGREGATIONS = ("all", "last")
@@ -127,90 +131,124 @@ def min_sequence_length(config: ModelConfig) -> int:
 @dataclass
 class ModelTrace:
     layer_traces: list[LayerTrace] = field(default_factory=list)
-    features: np.ndarray | None = None      # classifier input (k', T[, B])
+    single: bool = True                     # one sequence in, (C,) out
+    steps: np.ndarray | None = None         # head steps of each clip
+    cols: tuple | None = None               # (step, slot) of each head column
     cls_trace: LstmTrace | None = None
     cls_bwd_trace: LstmTrace | None = None  # blstm head only
-    hidden: np.ndarray | None = None        # lstm head: hidden columns (m, T*B)
-    dense_pre: np.ndarray | None = None     # pre-ReLU activations (dense_dim, T*B)
-    acts: np.ndarray | None = None          # post-ReLU (dense_dim, T*B)
-    probs: np.ndarray | None = None         # per-step distributions (C, T[, B])
+    hidden: np.ndarray | None = None        # lstm head: hidden columns (m, M)
+    dense_pre: np.ndarray | None = None     # pre-ReLU activations (dense_dim, M)
+    acts: np.ndarray | None = None          # post-ReLU (dense_dim, M)
+    probs: np.ndarray | None = None         # per-step distributions (C, M)
+    # the steps each clip averages, as a slice of its own steps
     sel: slice = field(default_factory=lambda: slice(None))
+    avg_cols: np.ndarray | None = None      # the columns of probs they are
+    avg_counts: np.ndarray | None = None    # how many of them per clip
     probs_mean: np.ndarray | None = None
 
 
-def _columns(seq: np.ndarray) -> np.ndarray:
-    """(T, n, B) sequence stack -> (n, T*B) columns, t-major."""
-    return seq.transpose(1, 0, 2).reshape(seq.shape[1], -1)
+def _head_layout(steps: np.ndarray):
+    """Pack clips of ``steps`` head steps longest first: returns their
+    sorted lengths and, for every step of every clip in input order, its
+    step index and its slot in the packed batch."""
+    order = np.argsort(-steps, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order))
+    owner = np.repeat(np.arange(len(steps)), steps)
+    step = np.arange(owner.size) - (np.cumsum(steps) - steps)[owner]
+    return steps[order], (step, slot[owner])
 
 
-def _steps(cols: np.ndarray, steps: int) -> np.ndarray:
-    """Inverse of ``_columns``."""
-    return cols.reshape(cols.shape[0], steps, -1).transpose(1, 0, 2)
+def _averaged(sel: slice, steps: np.ndarray, step: np.ndarray):
+    """Columns whose distributions each clip averages, and how many per
+    clip, for ``sel`` = all steps or the last few (fewer if the clip is
+    shorter)."""
+    if sel.start is None:
+        return np.arange(step.size), steps
+    return (np.flatnonzero(step >= np.repeat(steps + sel.start, steps)),
+            np.minimum(steps, -sel.start))
 
 
-def model_forward(config: ModelConfig, params: ModelParams, x: np.ndarray
+def _unpack(seq: np.ndarray, cols) -> np.ndarray:
+    """Packed (T, m, B) stack -> (m, M) columns of the real steps."""
+    return seq.transpose(1, 0, 2)[:, cols[0], cols[1]]
+
+
+def _pack(columns: np.ndarray, cols, shape) -> np.ndarray:
+    """Inverse of ``_unpack``, zero past each clip's end."""
+    seq = np.zeros(shape)
+    seq.transpose(1, 0, 2)[:, cols[0], cols[1]] = columns
+    return seq
+
+
+def model_forward(config: ModelConfig, params: ModelParams, x
                   ) -> tuple[np.ndarray, ModelTrace]:
     """Averaged class distribution for one k-by-l sequence (shape (C,)) or
-    for each of a (k, l, B) stack (shape (C, B)), plus the trace the
-    backward pass consumes."""
-    feats = as_sequences(x)
-    trace = ModelTrace()
+    for each of a list of clips (shape (C, B)), plus the trace the backward
+    pass consumes."""
+    feats, single = as_clips(x)
+    trace = ModelTrace(single=single)
     for lc, lp in zip(config.layers, params.layers):
         feats, ltr = layer_forward(lc, lp, feats)
         trace.layer_traces.append(ltr)
-    trace.features = feats
-    k, steps = feats.shape[:2]
-    seq = feats.reshape(k, steps, -1).transpose(1, 0, 2)
+    trace.steps = np.array([f.shape[1] for f in feats])
+    lengths, trace.cols = _head_layout(trace.steps)
+    seq = _pack(np.concatenate(feats, axis=1), trace.cols,
+                (lengths[0], feats[0].shape[0], len(feats)))
 
     if config.classifier == "lstm":
-        ctr = lstm_forward(params.classifier, seq)
+        ctr = lstm_forward(params.classifier, seq, lengths)
         trace.cls_trace = ctr
-        trace.hidden = _columns(ctr.h)
+        trace.hidden = _unpack(ctr.h, trace.cols)
         trace.acts, trace.dense_pre = dense_forward(params.dense, trace.hidden)
     else:
-        y, trace.cls_trace, trace.cls_bwd_trace = blstm_forward(params.classifier, seq)
-        trace.dense_pre = _columns(y)
+        y, trace.cls_trace, trace.cls_bwd_trace = blstm_forward(params.classifier, seq,
+                                                                lengths)
+        trace.dense_pre = _unpack(y, trace.cols)
         trace.acts = np.maximum(trace.dense_pre, 0.0)
 
     logits = params.softmax.W @ trace.acts + params.softmax.b[:, None]
-    trace.probs = softmax_columns(logits).reshape((-1,) + feats.shape[1:])
+    trace.probs = softmax_columns(logits)
     if config.aggregation == "last":
-        trace.sel = slice(max(0, steps - config.aggregation_steps), steps)
-    else:
-        trace.sel = slice(0, steps)
-    trace.probs_mean = trace.probs[:, trace.sel].mean(axis=1)
+        trace.sel = slice(-config.aggregation_steps, None)
+    trace.avg_cols, trace.avg_counts = _averaged(trace.sel, trace.steps, trace.cols[0])
+    starts = np.cumsum(trace.avg_counts) - trace.avg_counts
+    trace.probs_mean = (np.add.reduceat(trace.probs[:, trace.avg_cols], starts, axis=1)
+                        / trace.avg_counts)
+    if single:
+        trace.probs_mean = trace.probs_mean[:, 0]
     return trace.probs_mean, trace
 
 
 def model_backward(config: ModelConfig, params: ModelParams, trace: ModelTrace,
-                   dprobs_mean: np.ndarray) -> tuple[ModelParams, np.ndarray]:
+                   dprobs_mean: np.ndarray) -> tuple[ModelParams, np.ndarray | list]:
     """Gradients of a scalar loss given d(loss)/d(averaged distribution),
     shaped like the ``model_forward`` result.
 
     Returns parameter gradients shaped like ``params`` and the gradient
-    with respect to the model input.
+    with respect to the model input (one array per clip for a list).
     """
     probs = trace.probs
-    classes, steps = probs.shape[:2]
+    dmean = np.asarray(dprobs_mean, float).reshape(len(probs), -1) / trace.avg_counts
     dprobs = np.zeros_like(probs)
-    ncols = trace.sel.stop - trace.sel.start
-    dprobs[:, trace.sel] = np.asarray(dprobs_mean, float)[:, None] / ncols
-    dlogits = softmax_backward(probs.reshape(classes, -1), dprobs.reshape(classes, -1))
+    dprobs[:, trace.avg_cols] = np.repeat(dmean, trace.avg_counts, axis=1)
+    dlogits = softmax_backward(probs, dprobs)
 
     g_softmax = DenseParams(W=dlogits @ trace.acts.T, b=dlogits.sum(axis=1))
     dacts = params.softmax.W.T @ dlogits
 
+    T, _, B = trace.cls_trace.h.shape
     if config.classifier == "lstm":
         g_dense, dhidden = dense_backward(params.dense, trace.hidden,
                                           trace.dense_pre, dacts)
         g_cls, dseq = lstm_backward(params.classifier, trace.cls_trace,
-                                    dh=_steps(dhidden, steps))
+                                    dh=_pack(dhidden, trace.cols, (T, len(dhidden), B)))
     else:
         g_dense = None
-        dy = dacts * (trace.dense_pre > 0.0)
+        dy = _pack(dacts * (trace.dense_pre > 0.0), trace.cols, (T, len(dacts), B))
         g_cls, dseq = blstm_backward(params.classifier, trace.cls_trace,
-                                     trace.cls_bwd_trace, _steps(dy, steps))
-    dfeats = dseq.transpose(1, 0, 2).reshape(trace.features.shape)
+                                     trace.cls_bwd_trace, dy)
+    dfeats = split_columns(_unpack(dseq, trace.cols), trace.steps)
 
     g_layers = [None] * len(params.layers)
     for i in reversed(range(len(params.layers))):
@@ -219,7 +257,7 @@ def model_backward(config: ModelConfig, params: ModelParams, trace: ModelTrace,
 
     grads = ModelParams(layers=g_layers, classifier=g_cls, dense=g_dense,
                         softmax=g_softmax)
-    return grads, dfeats
+    return grads, (dfeats[0] if trace.single else dfeats)
 
 
 def predict_proba(config: ModelConfig, params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.special import expit
 
 
 class ShapeError(ValueError):
@@ -25,17 +24,37 @@ def as_matrix(data) -> np.ndarray:
     return m
 
 
-def as_sequences(data) -> np.ndarray:
-    """Coerce a k-by-l sequence, or a (k, l, B) stack of B equal-length
-    sequences, to a C-ordered float64 array."""
-    m = np.ascontiguousarray(data, dtype=np.float64)
-    if m.ndim not in (2, 3):
-        raise ShapeError(f"expected a k-by-l sequence or a (k, l, B) stack, got shape {m.shape}")
-    return m
+def as_clips(data) -> tuple[list[np.ndarray], bool]:
+    """Coerce one k-by-l sequence (an array) or a list of k-by-l_j
+    sequences sharing k to a list of C-ordered float64 matrices; the flag
+    tells whether a single sequence was given."""
+    single = not isinstance(data, (list, tuple))
+    clips = [as_matrix(data)] if single else [as_matrix(c) for c in data]
+    if not clips:
+        raise ShapeError("expected at least one sequence, got an empty list")
+    if any(c.shape[0] != clips[0].shape[0] for c in clips):
+        raise ShapeError(f"sequences differ in feature dimension: "
+                         f"{sorted({c.shape[0] for c in clips})}")
+    return clips, single
+
+
+def sigmoid_(z: np.ndarray) -> np.ndarray:
+    """Logistic function in place, z <- 1 / (1 + exp(-z)).
+
+    Above z = 36.7 the result rounds to exactly 1.  Below z = -709.78
+    exp(-z) overflows to inf and the result is exactly 0, where the exact
+    value is below 2e-308; above that it is at most 2 ulp from the exact
+    value.
+    """
+    np.negative(z, out=z)
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    return expit(z)
+    return sigmoid_(np.array(z, dtype=np.float64))
 
 
 def relu(z: np.ndarray) -> np.ndarray:

@@ -13,11 +13,14 @@ Layout (all integers little-endian):
 The writer is fully deterministic: identical parameters produce
 byte-identical files.  Next to the binary, ``save_model`` writes a
 ``<path>.cfg`` sidecar holding the canonical config text, so a model
-file alone is enough to rebuild and run the model.
+file alone is enough to rebuild and run the model.  Both files are
+written through ``write_atomic``: a reader sees the old file or the new
+one, never a partly written one.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -40,6 +43,20 @@ def sidecar_path(path) -> Path:
     return Path(str(path) + ".cfg")
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file in the same directory, then
+    rename it over ``path``.  Nothing is fsynced: this guards against a
+    crash of the process, not of the machine."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_tensors(path, named: list[tuple[str, np.ndarray]]) -> None:
     parts = [MAGIC, struct.pack("<II", VERSION, len(named))]
     for name, arr in named:
@@ -50,7 +67,7 @@ def write_tensors(path, named: list[tuple[str, np.ndarray]]) -> None:
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    write_atomic(path, b"".join(parts))
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:
@@ -109,7 +126,7 @@ def assign_named(params, tensors: dict[str, np.ndarray], origin: str = "model fi
 
 def save_model(path, run: RunConfig, params: ModelParams) -> None:
     write_tensors(path, named_arrays(params))
-    sidecar_path(path).write_text(render_config(run))
+    write_atomic(sidecar_path(path), render_config(run).encode())
 
 
 def load_model(path) -> tuple[RunConfig, ModelParams]:

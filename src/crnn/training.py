@@ -2,12 +2,11 @@
 
 The loss is cross-entropy of the *averaged* per-step class distribution
 (one scalar per example); a mini-batch gradient is the arithmetic mean of
-the per-example gradients.  The examples of a mini-batch that share a frame
-count run as one batched forward/backward pass, and the groups' summed
-gradients are added in order of each group's first example in the
-shuffled batch, so results are bit-identical run to run.  Evaluation
-batches each frame count the same way, in chunks of the training batch
-size.
+the per-example gradients.  Each shuffled mini-batch, whatever its clips'
+lengths, runs as one forward/backward pass over the list of its clips
+(see ``model``), so the per-example gradients are summed inside the
+weight-gradient GEMMs; results are bit-identical run to run.  Evaluation
+runs the dataset in its own order, in chunks of the training batch size.
 
 Adam defaults to lr=0.002, beta1=0.1, beta2=0.001.  Those decay rates are
 far smaller than the usual 0.9/0.999, which makes the moment estimates
@@ -56,11 +55,11 @@ def cross_entropy(probs: np.ndarray, label) -> float:
     return float(-np.log(np.take_along_axis(probs, labels[None], axis=0)).sum())
 
 
-def loss_gradients(config: ModelConfig, params: ModelParams, x: np.ndarray,
+def loss_gradients(config: ModelConfig, params: ModelParams, x,
                    label) -> tuple[float, ModelParams]:
     """Cross-entropy loss and its exact parameter gradients, for one k-by-l
-    example and its label, or summed over a (k, l, B) stack of equal-length
-    examples given their B labels."""
+    example and its label, or summed over a list of B clips given their B
+    labels."""
     probs_mean, trace = model_forward(config, params, x)
     loss = cross_entropy(probs_mean, label)
     labels = np.asarray(label)[None]
@@ -86,8 +85,8 @@ class AdamState:
 
 
 def _check_adam(lr: float, beta1: float, beta2: float, epsilon: float) -> None:
-    if lr <= 0 or epsilon <= 0:
-        raise ValueError("lr and epsilon must be positive")
+    if not (0 < lr < math.inf and 0 < epsilon < math.inf):   # NaN fails too
+        raise ValueError("lr and epsilon must be positive and finite")
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ValueError("beta1 and beta2 must lie in [0, 1)")
 
@@ -164,31 +163,15 @@ class EvalResult:
     predictions: list[int]
 
 
-def _length_groups(examples, indices) -> list[list[int]]:
-    """Split example indices into groups of equal frame count, each group
-    in the given order, groups ordered by their first member."""
-    groups: dict[int, list[int]] = {}
-    for j in indices:
-        groups.setdefault(examples[j].features.shape[1], []).append(int(j))
-    return list(groups.values())
-
-
-def _stack(examples, group: list[int]) -> np.ndarray:
-    return np.stack([examples[j].features for j in group], axis=2)
-
-
 def evaluate(config: ModelConfig, params: ModelParams, dataset,
              batch_size: int = TrainConfig.batch_size) -> EvalResult:
-    """Predict every example, running equal-length examples together in
-    chunks of ``batch_size``."""
+    """Predict every example, ``batch_size`` examples per forward pass."""
     examples = dataset.examples
-    preds = [0] * len(examples)
-    for group in _length_groups(examples, range(len(examples))):
-        for lo in range(0, len(group), batch_size):
-            chunk = group[lo:lo + batch_size]
-            probs, _ = model_forward(config, params, _stack(examples, chunk))
-            for j, pred in zip(chunk, np.argmax(probs, axis=0)):
-                preds[j] = int(pred)
+    preds: list[int] = []
+    for lo in range(0, len(examples), batch_size):
+        probs, _ = model_forward(config, params,
+                                 [ex.features for ex in examples[lo:lo + batch_size]])
+        preds.extend(int(p) for p in np.argmax(probs, axis=0))
     labels = [ex.label for ex in examples]
     return EvalResult(ua_recall=ua_recall(preds, labels, config.num_classes),
                       per_class=per_class_recall(preds, labels, config.num_classes),
@@ -214,11 +197,6 @@ def _check_lengths(config: ModelConfig, dataset, split: str) -> None:
             raise SequenceTooShortError(
                 f"{split} example {idx} has {ex.features.shape[1]} frames; "
                 f"the model's framing needs at least {need}")
-
-
-def _add_grads(acc, grads) -> None:
-    for (_, a), (_, g) in zip(named_arrays(acc), named_arrays(grads)):
-        a += g
 
 
 def train(config: ModelConfig, tc: TrainConfig, train_set, val_set,
@@ -255,19 +233,17 @@ def train(config: ModelConfig, tc: TrainConfig, train_set, val_set,
         total_loss = 0.0
         for number, lo in enumerate(range(0, len(order), tc.batch_size), start=1):
             batch = order[lo:lo + tc.batch_size]
-            acc = zeros_like_tree(params)
-            for group in _length_groups(examples, batch):
-                loss, grads = loss_gradients(config, params, _stack(examples, group),
-                                             [examples[j].label for j in group])
-                total_loss += loss
-                _add_grads(acc, grads)
+            loss, grads = loss_gradients(config, params,
+                                         [examples[j].features for j in batch],
+                                         [examples[j].label for j in batch])
+            total_loss += loss
             scale = 1.0 / len(batch)
-            for name, a in named_arrays(acc):
+            for name, a in named_arrays(grads):
                 a *= scale
                 if not np.all(np.isfinite(a)):
                     raise NumericError(f"non-finite gradient in {name} at epoch "
                                        f"{epoch}, batch {number}")
-            adam_step(adam, params, acc)
+            adam_step(adam, params, grads)
         train_loss = total_loss / len(examples)
         if not math.isfinite(train_loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}")

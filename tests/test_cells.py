@@ -390,3 +390,82 @@ class TestLayout:
         _, ft, bt = blstm_forward(p, np.zeros((4, 2, 1)))
         with pytest.raises(ShapeError):
             blstm_backward(p, ft, bt, np.zeros((2, 4)))
+
+
+class TestPacked:
+    """``lengths`` packs sequences of their own lengths, longest first:
+    each column must match its own unpadded run."""
+
+    LENGTHS = [6, 4, 4, 1]
+    REL = 1e-14
+
+    def padded(self, k: int, seed: int):
+        rng = Rng(seed)
+        seqs = [rng.normal(0, 1, (k, length)) for length in self.LENGTHS]
+        x = np.zeros((self.LENGTHS[0], k, len(seqs)))
+        for b, s in enumerate(seqs):
+            x[:s.shape[1], :, b] = s.T
+        return seqs, x
+
+    def close(self, got, want):
+        np.testing.assert_allclose(got, want, rtol=0, atol=self.REL * np.max(np.abs(want)))
+
+    def test_forward_matches_each_column_and_pads_with_zeros(self):
+        p = init_lstm(3, 4, Rng(1))
+        seqs, x = self.padded(3, seed=2)
+        tr = lstm_forward(p, x, self.LENGTHS)
+        for b, s in enumerate(seqs):
+            one_tr = lstm_forward(p, one(s))
+            length = s.shape[1]
+            for name in ("h", "c", "i", "f", "g", "o", "tanh_c"):
+                got = getattr(tr, name)
+                self.close(got[:length, :, b], getattr(one_tr, name)[:, :, 0])
+                assert not np.any(got[length:, :, b]), name
+
+    def test_backward_matches_summed_columns(self):
+        p = init_lstm(3, 4, Rng(3))
+        seqs, x = self.padded(3, seed=4)
+        tr = lstm_forward(p, x, self.LENGTHS)
+        dh = Rng(5).normal(0, 1, tr.h.shape)
+        dc = Rng(6).normal(0, 1, tr.c.shape)
+        for b, length in enumerate(self.LENGTHS):   # upstream past an end is ignored
+            dh[length:, :, b] = dc[length:, :, b] = 7.0
+        grads, dx = lstm_backward(p, tr, dh=dh, dc=dc)
+        total = zeros_like_tree(p)
+        for b, s in enumerate(seqs):
+            length = s.shape[1]
+            g, dx_b = lstm_backward(p, lstm_forward(p, one(s)),
+                                    dh=dh[:length, :, b:b + 1], dc=dc[:length, :, b:b + 1])
+            for (_, acc), (_, leaf) in zip(named_arrays(total), named_arrays(g)):
+                acc += leaf
+            self.close(dx[:length, :, b], dx_b[:, :, 0])
+            assert not np.any(dx[length:, :, b])
+        for (name, got), (_, want) in zip(named_arrays(grads), named_arrays(total)):
+            self.close(got, want)
+
+    @pytest.mark.parametrize("source", ["hidden", "cell"])
+    def test_blstm_reads_each_column_backwards_from_its_own_end(self, source):
+        p = init_blstm(3, 4, 2, Rng(7), source=source)
+        seqs, x = self.padded(3, seed=8)
+        y, ft, bt = blstm_forward(p, x, self.LENGTHS)
+        dy = Rng(9).normal(0, 1, y.shape)
+        for b, length in enumerate(self.LENGTHS):
+            dy[length:, :, b] = 0.0
+        grads, dx = blstm_backward(p, ft, bt, dy)
+        total = zeros_like_tree(p)
+        for b, s in enumerate(seqs):
+            length = s.shape[1]
+            y_b, ft_b, bt_b = blstm_forward(p, one(s))
+            self.close(y[:length, :, b], y_b[:, :, 0])
+            g, dx_b = blstm_backward(p, ft_b, bt_b, dy[:length, :, b:b + 1])
+            for (_, acc), (_, leaf) in zip(named_arrays(total), named_arrays(g)):
+                acc += leaf
+            self.close(dx[:length, :, b], dx_b[:, :, 0])
+        for (name, got), (_, want) in zip(named_arrays(grads), named_arrays(total)):
+            self.close(got, want)
+
+    @pytest.mark.parametrize("lengths", [[4, 6, 4, 1], [6, 4, 4], [7, 4, 4, 1],
+                                         [6, 4, 4, 0]])
+    def test_rejects_bad_lengths(self, lengths):
+        with pytest.raises(ShapeError, match="non-increasing"):
+            lstm_forward(init_lstm(3, 4, Rng(0)), np.zeros((6, 3, 4)), lengths)

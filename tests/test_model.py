@@ -13,7 +13,7 @@ from crnn.model import (
     predict,
     predict_proba,
 )
-from crnn.numerics import Rng, param_count
+from crnn.numerics import Rng, ShapeError, param_count
 
 from fdtools import TOL, model_ce_check
 
@@ -70,6 +70,32 @@ class TestMinSequenceLength:
         params = init_model(c, Rng(0))
         with pytest.raises(SequenceTooShortError):
             model_forward(c, params, np.zeros((2, min_sequence_length(c) - 1)))
+
+    def test_list_names_the_short_clip(self):
+        c = tiny_config()
+        params = init_model(c, Rng(0))
+        need = min_sequence_length(c)
+        with pytest.raises(SequenceTooShortError, match=f"^{need - 1} frames"):
+            model_forward(c, params, [np.zeros((2, need + 4)), np.zeros((2, need - 1))])
+
+
+class TestInputForms:
+    """One k-by-l array, or a list of k-by-l_j clips; nothing else."""
+
+    @pytest.mark.parametrize("x", [np.zeros((2, 9, 3)), [], [np.zeros((2, 9)), np.zeros((3, 9))],
+                                   [np.zeros(9)]])
+    def test_rejects_other_forms(self, x):
+        c = tiny_config()
+        with pytest.raises(ShapeError):
+            model_forward(c, init_model(c, Rng(0)), x)
+
+    def test_list_of_one_keeps_the_batch_axis(self):
+        c = tiny_config()
+        params = init_model(c, Rng(1))
+        x = Rng(2).normal(0, 1, (2, 11))
+        probs, _ = model_forward(c, params, [x])
+        assert probs.shape == (3, 1)
+        np.testing.assert_array_equal(probs[:, 0], model_forward(c, params, x)[0])
 
 
 class TestForward:

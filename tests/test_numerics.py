@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from crnn.numerics import (
     init_params,
     named_arrays,
     param_count,
+    sigmoid,
+    sigmoid_,
     tree_copy,
     tree_map,
     zeros_like_tree,
@@ -36,6 +40,27 @@ class TestActivations:
     def test_sigmoid_open_interval(self, vals):
         out = ACTIVATIONS["sigmoid"](np.array([vals]))
         assert np.all(out > 0.0) and np.all(out < 1.0)
+
+    def test_sigmoid_within_two_ulp_of_long_double(self):
+        # below z = -709.78 exp(-z) overflows and the result flushes to 0
+        z = np.concatenate([np.linspace(-709.0, 745.0, 200_001),
+                            Rng(0).normal(0.0, 8.0, 100_000)])
+        exact = 1.0 / (1.0 + np.exp(-z.astype(np.longdouble)))
+        got = sigmoid(z)
+        ulps = np.abs(got.astype(np.longdouble) - exact) / np.spacing(exact.astype(np.float64))
+        assert float(ulps.max()) <= 2.0
+
+    def test_sigmoid_saturates_exactly_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(np.array([-745.0, -1000.0, 745.0, 1000.0]))
+        np.testing.assert_array_equal(out, [0.0, 0.0, 1.0, 1.0])
+
+    def test_sigmoid_in_place_returns_its_argument(self):
+        z = np.array([[-1.0, 0.0, 2.0]])
+        out = sigmoid_(z)
+        assert out is z
+        np.testing.assert_array_equal(z, sigmoid(np.array([[-1.0, 0.0, 2.0]])))
 
     @given(st.lists(st.floats(-18, 18), min_size=1, max_size=30))
     def test_tanh_open_interval(self, vals):

@@ -3,6 +3,7 @@ import pytest
 
 from crnn.config import parse_config_text
 from crnn.model import init_model
+from crnn import serialize
 from crnn.numerics import Rng, named_arrays
 from crnn.serialize import (
     ModelFileError,
@@ -10,6 +11,7 @@ from crnn.serialize import (
     read_tensors,
     save_model,
     sidecar_path,
+    write_atomic,
     write_tensors,
 )
 
@@ -142,3 +144,27 @@ class TestModelRoundTrip:
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         assert sidecar_path(tmp_path / "a.bin").read_text() == \
             sidecar_path(tmp_path / "b.bin").read_text()
+
+
+class TestAtomicWrites:
+    def test_failed_replace_keeps_old_files(self, tmp_path, monkeypatch):
+        run, params = example_model()
+        path = tmp_path / "model.bin"
+        save_model(path, run, params)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        other = init_model(run.model, Rng(7))
+
+        def failing_replace(src, dst):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr(serialize.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk went away"):
+            save_model(path, run, other)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_write_atomic_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "metrics.jsonl"
+        path.write_bytes(b"old contents, longer than the new ones\n")
+        write_atomic(path, b"new\n")
+        assert path.read_bytes() == b"new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.jsonl"]

@@ -369,6 +369,8 @@ class TestTrainConfigValidation:
         (dict(lr=0.0), "lr and epsilon must be positive"),
         (dict(epsilon=0.0), "lr and epsilon must be positive"),
         (dict(beta1=1.0), r"beta1 and beta2 must lie in \[0, 1\)"),
+        (dict(lr=float("nan")), "lr and epsilon must be positive and finite"),
+        (dict(epsilon=float("inf")), "lr and epsilon must be positive and finite"),
     ])
     def test_rejects_bad_adam_settings(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
