@@ -73,6 +73,15 @@ def _out_dir(args, run: RunConfig | None) -> Path:
     return Path(out)
 
 
+def _read_split(manifest, model: ModelConfig) -> Dataset:
+    """A feature manifest whose files must have the model's input_dim rows."""
+    dataset = read_manifest(manifest, model.num_classes)
+    if dataset.feature_dim != model.input_dim:
+        raise DataError(f"{manifest}: feature files have k = {dataset.feature_dim} "
+                        f"rows, but the model's input_dim is {model.input_dim}")
+    return dataset
+
+
 def _normalize_splits(splits: list[Dataset], num_classes: int) -> list[Dataset]:
     """Joint per-group statistics over all splits (groups usually do not
     straddle splits, but pooling keeps the statistics split-agnostic)."""
@@ -99,8 +108,8 @@ def _cmd_train(args) -> int:
         raise ConfigError("train requires val_manifest in the config")
 
     classes = run.model.num_classes
-    train_set = read_manifest(train_manifest, classes)
-    val_set = read_manifest(run.val_manifest, classes)
+    train_set = _read_split(train_manifest, run.model)
+    val_set = _read_split(run.val_manifest, run.model)
     if run.normalize:
         train_set, val_set = _normalize_splits([train_set, val_set], classes)
     if run.balance:
@@ -133,7 +142,7 @@ def _cmd_eval(args) -> int:
             f"config declares {run.model.num_classes} classes but the model "
             f"file was trained with {model_run.model.num_classes}")
 
-    dataset = read_manifest(manifest, run.model.num_classes)
+    dataset = _read_split(manifest, model_run.model)
     if run.normalize:
         dataset, _ = normalize_per_group(dataset)
     res = evaluate(model_run.model, params, dataset, run.train.batch_size)

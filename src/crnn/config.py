@@ -11,6 +11,8 @@ file sidecar stores.
 Defaults: lr 0.002, beta1 0.1, beta2 0.001, epsilon 1e-8, batch_size 16,
 patience 12, max_epochs 100, classifier lstm (dim 256), dense_dim 400,
 aggregation all.  A minimal file is just ``input_dim`` and ``classes``.
+Every key is declared once, in ``_KEYS`` or ``_LAYER_KEYS``; a key left
+out of the file takes the default of the dataclass field it sets.
 """
 
 from __future__ import annotations
@@ -41,177 +43,110 @@ class RunConfig:
     out_dir: str | None = None
 
 
+def _bool(raw: str) -> bool:
+    if raw not in ("true", "false"):
+        raise ValueError(raw)
+    return raw == "true"
+
+
+# what a value that a reader rejects should have been
+_EXPECTED = {int: "an integer", float: "a number", _bool: "true or false"}
+
+# key -> (the object it sets, its field, the reader of its value)
+_KEYS = {
+    "input_dim": ("model", "input_dim", int),
+    "classes": ("model", "num_classes", int),
+    "classifier": ("model", "classifier", str),
+    "classifier_dim": ("model", "classifier_dim", int),
+    "dense_dim": ("model", "dense_dim", int),
+    "aggregation": ("model", "aggregation", str),
+    "aggregation_steps": ("model", "aggregation_steps", int),
+    "lr": ("train", "lr", float),
+    "beta1": ("train", "beta1", float),
+    "beta2": ("train", "beta2", float),
+    "epsilon": ("train", "epsilon", float),
+    "batch_size": ("train", "batch_size", int),
+    "max_epochs": ("train", "max_epochs", int),
+    "patience": ("train", "patience", int),
+    "seed": ("train", "seed", int),
+    "balance": ("run", "balance", _bool),
+    "normalize": ("run", "normalize", _bool),
+    "train_manifest": ("run", "train_manifest", str),
+    "val_manifest": ("run", "val_manifest", str),
+    "test_manifest": ("run", "test_manifest", str),
+    "out_dir": ("run", "out_dir", str),
+}
+
+# layerN. sub-key -> reader; window/shift and pool/pool_shift become WindowSpecs
+_LAYER_KEYS = {"kind": str, "features": int, "window": int, "shift": int, "pool": int,
+               "pool_shift": int, "source": str, "reduction": str, "hidden_dim": int,
+               "activation": str}
+
 _LAYER_KEY = re.compile(r"^layer(\d+)\.(.+)$")
-
-_MODEL_KEYS = {"input_dim", "classes", "classifier", "classifier_dim",
-               "dense_dim", "aggregation", "aggregation_steps"}
-_TRAIN_KEYS = {"lr", "beta1", "beta2", "epsilon", "batch_size", "max_epochs",
-               "patience", "seed"}
-_DATA_KEYS = {"balance", "normalize", "train_manifest", "val_manifest",
-              "test_manifest", "out_dir"}
-_LAYER_SUBKEYS = {"kind", "features", "window", "shift", "pool", "pool_shift",
-                  "source", "reduction", "hidden_dim", "activation"}
-
-
-class _Entries:
-    """Parsed key/value lines with line numbers for error messages."""
-
-    def __init__(self, origin: str):
-        self.origin = origin
-        self.values: dict[str, str] = {}
-        self.lines: dict[str, int] = {}
-
-    def add(self, key: str, value: str, lineno: int) -> None:
-        if key in self.values:
-            raise ConfigError(f"{self.origin}:{lineno}: duplicate key {key!r}")
-        self.values[key] = value
-        self.lines[key] = lineno
-
-    def error(self, key: str, message: str):
-        return ConfigError(f"{self.origin}:{self.lines[key]}: {message}")
-
-    def take(self, key: str, default=None):
-        return self.values.pop(key, default)
-
-    def take_int(self, key: str, default: int | None = None) -> int | None:
-        raw = self.take(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise self.error(key, f"{key} must be an integer, got {raw!r}") from None
-
-    def take_float(self, key: str, default: float | None = None) -> float | None:
-        raw = self.take(key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise self.error(key, f"{key} must be a number, got {raw!r}") from None
-
-    def take_bool(self, key: str, default: bool) -> bool:
-        raw = self.take(key)
-        if raw is None:
-            return default
-        if raw not in ("true", "false"):
-            raise self.error(key, f"{key} must be true or false, got {raw!r}")
-        return raw == "true"
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
-    entries = _Entries(origin)
+    top: dict[str, object] = {}
+    layers: dict[int, dict[str, object]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"{origin}:{lineno}: expected key=value, got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        entries.add(key.strip(), value.strip(), lineno)
-
-    # peel off layer blocks first so leftover keys are genuinely unknown
-    layer_keys: dict[int, dict[str, str]] = {}
-    for key in list(entries.values):
+        key, _, raw = stripped.partition("=")
+        key, raw = key.strip(), raw.strip()
         m = _LAYER_KEY.match(key)
-        if not m:
-            continue
-        num, sub = int(m.group(1)), m.group(2)
-        if sub not in _LAYER_SUBKEYS:
-            raise entries.error(key, f"unknown key {key!r}")
-        layer_keys.setdefault(num, {})[sub] = key
+        if m and m.group(2) in _LAYER_KEYS:
+            values, name = layers.setdefault(int(m.group(1)), {}), m.group(2)
+            reader = _LAYER_KEYS[name]
+        elif key in _KEYS:
+            values, name, reader = top, key, _KEYS[key][2]
+        else:
+            raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
+        if name in values:
+            raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
+        try:
+            values[name] = reader(raw)
+        except ValueError:
+            raise ConfigError(f"{origin}:{lineno}: {key} must be "
+                              f"{_EXPECTED[reader]}, got {raw!r}") from None
 
-    layers = []
-    for pos, num in enumerate(sorted(layer_keys), start=1):
+    model_layers = []
+    for pos, num in enumerate(sorted(layers), start=1):
         if num != pos:
             raise ConfigError(
-                f"{origin}: layer numbers must run 1..{len(layer_keys)} "
+                f"{origin}: layer numbers must run 1..{len(layers)} "
                 f"without gaps; found layer{num}")
-        layers.append(_parse_layer(entries, num, layer_keys[num]))
+        model_layers.append(_parse_layer(layers[num], f"layer{num}", origin))
 
     for key in ("input_dim", "classes"):
-        if key not in entries.values:
+        if key not in top:
             raise ConfigError(f"{origin}: missing required key {key!r}")
-
+    given = {"run": {}, "model": {}, "train": {}}
+    for key, value in top.items():
+        obj, field, _ = _KEYS[key]
+        given[obj][field] = value
     try:
-        model = ModelConfig(
-            input_dim=entries.take_int("input_dim"),
-            num_classes=entries.take_int("classes"),
-            layers=tuple(layers),
-            classifier=entries.take("classifier", "lstm"),
-            classifier_dim=entries.take_int("classifier_dim", 256),
-            dense_dim=entries.take_int("dense_dim", 400),
-            aggregation=entries.take("aggregation", "all"),
-            aggregation_steps=entries.take_int("aggregation_steps", 4),
-        )
-        train = TrainConfig(
-            batch_size=entries.take_int("batch_size", 16),
-            max_epochs=entries.take_int("max_epochs", 100),
-            patience=entries.take_int("patience", 12),
-            seed=entries.take_int("seed", 0),
-            lr=entries.take_float("lr", 0.002),
-            beta1=entries.take_float("beta1", 0.1),
-            beta2=entries.take_float("beta2", 0.001),
-            epsilon=entries.take_float("epsilon", 1e-8),
-        )
+        return RunConfig(model=ModelConfig(layers=tuple(model_layers), **given["model"]),
+                         train=TrainConfig(**given["train"]), **given["run"])
     except ValueError as e:
         raise ConfigError(f"{origin}: {e}") from None
 
-    run = RunConfig(
-        model=model,
-        train=train,
-        balance=entries.take_bool("balance", False),
-        normalize=entries.take_bool("normalize", False),
-        train_manifest=entries.take("train_manifest"),
-        val_manifest=entries.take("val_manifest"),
-        test_manifest=entries.take("test_manifest"),
-        out_dir=entries.take("out_dir"),
-    )
-    for key in sorted(entries.values, key=lambda k: entries.lines[k]):
-        raise entries.error(key, f"unknown key {key!r}")
-    return run
 
-
-def _parse_layer(entries: _Entries, num: int, keys: dict[str, str]) -> CrnnLayerConfig:
-    def take(sub, conv=str, default=None):
-        if sub not in keys:
-            return default
-        key = keys[sub]
-        raw = entries.take(key)
-        if conv is str:
-            return raw
-        try:
-            return conv(raw)
-        except ValueError:
-            raise entries.error(key, f"{key} must be an integer, got {raw!r}") from None
-
-    prefix = f"layer{num}"
+def _parse_layer(values: dict, prefix: str, origin: str) -> CrnnLayerConfig:
     for sub in ("kind", "features", "window", "shift"):
-        if sub not in keys:
-            raise ConfigError(
-                f"{entries.origin}: missing required key '{prefix}.{sub}'")
+        if sub not in values:
+            raise ConfigError(f"{origin}: missing required key '{prefix}.{sub}'")
     try:
-        window = WindowSpec(take("window", int), take("shift", int))
-        pool_width = take("pool", int)
-        pool_shift = take("pool_shift", int)
-        if pool_shift is not None and pool_width is None:
+        values["window"] = WindowSpec(values["window"], values.pop("shift"))
+        if "pool" in values:
+            values["pool"] = WindowSpec(values["pool"], values.pop("pool_shift", values["pool"]))
+        elif "pool_shift" in values:
             raise ValueError(f"{prefix}.pool_shift given without {prefix}.pool")
-        pool = None
-        if pool_width is not None:
-            pool = WindowSpec(pool_width, pool_shift if pool_shift is not None else pool_width)
-        return CrnnLayerConfig(
-            kind=take("kind"),
-            features=take("features", int),
-            window=window,
-            pool=pool,
-            source=take("source", default="cell"),
-            reduction=take("reduction", default="last"),
-            hidden_dim=take("hidden_dim", int),
-            activation=take("activation", default="sigmoid"),
-        )
+        return CrnnLayerConfig(**values)
     except ValueError as e:
-        raise ConfigError(f"{entries.origin}: layer{num}: {e}") from None
+        raise ConfigError(f"{origin}: {prefix}: {e}") from None
 
 
 def parse_config(path) -> RunConfig:
@@ -225,48 +160,25 @@ def parse_config(path) -> RunConfig:
     return parse_config_text(text, origin=str(path))
 
 
+def _layer_values(lc: CrnnLayerConfig) -> dict:
+    """The sub-keys that apply to a layer of this kind, with their values."""
+    values = {"kind": lc.kind, "features": lc.features,
+              "window": lc.window.width, "shift": lc.window.shift}
+    if lc.pool is not None:
+        values.update(pool=lc.pool.width, pool_shift=lc.pool.shift)
+    if lc.kind == "conv":
+        values["activation"] = lc.activation
+    else:
+        values.update(source=lc.source, reduction=lc.reduction, hidden_dim=lc.hidden_dim)
+    return values
+
+
 def render_config(run: RunConfig) -> str:
     """Canonical text form; ``parse_config_text`` returns an equal RunConfig."""
-    m, t = run.model, run.train
-    lines = [
-        f"input_dim = {m.input_dim}",
-        f"classes = {m.num_classes}",
-        f"classifier = {m.classifier}",
-        f"classifier_dim = {m.classifier_dim}",
-        f"dense_dim = {m.dense_dim}",
-        f"aggregation = {m.aggregation}",
-        f"aggregation_steps = {m.aggregation_steps}",
-    ]
-    for i, lc in enumerate(m.layers, start=1):
-        p = f"layer{i}"
-        lines += [f"{p}.kind = {lc.kind}",
-                  f"{p}.features = {lc.features}",
-                  f"{p}.window = {lc.window.width}",
-                  f"{p}.shift = {lc.window.shift}"]
-        if lc.pool is not None:
-            lines += [f"{p}.pool = {lc.pool.width}",
-                      f"{p}.pool_shift = {lc.pool.shift}"]
-        if lc.kind == "conv":
-            lines.append(f"{p}.activation = {lc.activation}")
-        else:
-            lines += [f"{p}.source = {lc.source}",
-                      f"{p}.reduction = {lc.reduction}"]
-            if lc.hidden_dim is not None:
-                lines.append(f"{p}.hidden_dim = {lc.hidden_dim}")
-    lines += [
-        f"lr = {t.lr!r}",
-        f"beta1 = {t.beta1!r}",
-        f"beta2 = {t.beta2!r}",
-        f"epsilon = {t.epsilon!r}",
-        f"batch_size = {t.batch_size}",
-        f"max_epochs = {t.max_epochs}",
-        f"patience = {t.patience}",
-        f"seed = {t.seed}",
-        f"balance = {'true' if run.balance else 'false'}",
-        f"normalize = {'true' if run.normalize else 'false'}",
-    ]
-    for key in ("train_manifest", "val_manifest", "test_manifest", "out_dir"):
-        value = getattr(run, key)
-        if value is not None:
-            lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+    objects = {"run": run, "model": run.model, "train": run.train}
+    values = {key: getattr(objects[obj], field) for key, (obj, field, _) in _KEYS.items()}
+    for i, lc in enumerate(run.model.layers, start=1):
+        values.update({f"layer{i}.{sub}": v for sub, v in _layer_values(lc).items()})
+    # bools are written the way _bool reads them; str(float) round-trips
+    return "".join(f"{key} = {str(v).lower() if isinstance(v, bool) else v}\n"
+                   for key, v in values.items() if v is not None)

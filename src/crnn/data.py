@@ -361,6 +361,8 @@ def read_features(path) -> np.ndarray:
         k, l = int(text[0]), int(text[1])
     except ValueError:
         raise DataError(f"{path}: header must start with integers k and l") from None
+    if k < 1 or l < 1:
+        raise DataError(f"{path}: header gives a {k} x {l} matrix; k and l must be >= 1")
     if text[2] != "row-major":
         raise DataError(f"{path}: unsupported layout {text[2]!r}")
     values = text[3:]

@@ -4,10 +4,12 @@ A window spec is a (width, shift) pair: windows are ``width`` consecutive
 columns, consecutive windows start ``shift`` columns apart, and trailing
 columns that do not fill a whole window are dropped.
 
-Every function here also takes a list of clips, k-by-l_j sequences of
-their own lengths.  The clips then sit side by side, clip by clip, on the
-column axis (the window axis for ``stack_windows``); windows and pools
-never cross a clip boundary, and pooling argmaxes index the side-by-side
+Every function here also takes several clips, k-by-l_j sequences of
+their own lengths, laid side by side, clip by clip, on the column axis as
+one k-by-sum(l_j) matrix, with their column counts as ``lengths``
+(``None`` means one clip).  Windows and pools never cross a clip
+boundary; the windows of all clips follow one another on the window axis
+of ``stack_windows``, and pooling argmaxes index the side-by-side
 columns.  The work is done with index arrays over all clips at once.
 """
 
@@ -16,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .numerics import as_clips
 
 
 @dataclass(frozen=True)
@@ -30,49 +30,33 @@ class WindowSpec:
             raise ValueError(f"window width and shift must be >= 1, got {self}")
 
 
-def window_count(length: int, spec: WindowSpec) -> int:
-    """Number of full windows in a sequence of ``length`` columns."""
-    if length < spec.width:
-        return 0
-    return (length - spec.width) // spec.shift + 1
-
-
-def window_starts(length: int, spec: WindowSpec) -> range:
-    return range(0, spec.shift * window_count(length, spec), spec.shift)
-
-
-def window_counts(lengths, spec: WindowSpec) -> np.ndarray:
-    """``window_count`` of each clip length."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    return np.where(lengths < spec.width, 0, (lengths - spec.width) // spec.shift + 1)
+def window_count(length, spec: WindowSpec):
+    """Number of full windows in a sequence of ``length`` columns, or of
+    each sequence of an array of lengths."""
+    return np.maximum((np.asarray(length) - spec.width) // spec.shift + 1, 0)
 
 
 def _starts(lengths, spec: WindowSpec) -> np.ndarray:
     """First column of every window of clips laid side by side, clip by clip."""
     lengths = np.atleast_1d(np.asarray(lengths, dtype=np.intp))
-    counts = window_counts(lengths, spec)
+    counts = window_count(lengths, spec)
     owner = np.repeat(np.arange(len(lengths)), counts)
     first = np.cumsum(counts) - counts
     local = np.arange(owner.size) - first[owner]
     return (np.cumsum(lengths) - lengths)[owner] + spec.shift * local
 
 
-def _side_by_side(x) -> tuple[np.ndarray, list[int]]:
-    clips, _ = as_clips(x)
-    cat = clips[0] if len(clips) == 1 else np.concatenate(clips, axis=1)
-    return cat, [c.shape[1] for c in clips]
-
-
-def stack_windows(x, spec: WindowSpec) -> np.ndarray:
+def stack_windows(x: np.ndarray, spec: WindowSpec, lengths=None) -> np.ndarray:
     """All windows of a k-by-l sequence as one (width, k, count) array; for
-    a list of clips, every clip's windows in turn on the last axis.
+    clips of ``lengths`` columns side by side, every clip's windows in
+    turn on the last axis.
 
     Axis 0 is the frame position inside the window, so windows can be fed
     through a recurrent cell as one batch of short sequences.
     """
-    cat, lengths = _side_by_side(x)
-    cols = _starts(lengths, spec)[None, :] + np.arange(spec.width)[:, None]
-    return np.ascontiguousarray(cat[:, cols].swapaxes(0, 1))
+    starts = _starts(x.shape[1] if lengths is None else lengths, spec)
+    cols = starts[None, :] + np.arange(spec.width)[:, None]
+    return np.ascontiguousarray(x[:, cols].swapaxes(0, 1))
 
 
 def scatter_windows_add(dwindows: np.ndarray, spec: WindowSpec, length) -> np.ndarray:
@@ -89,17 +73,18 @@ def scatter_windows_add(dwindows: np.ndarray, spec: WindowSpec, length) -> np.nd
     return dx
 
 
-def max_pool_forward(x, spec: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Max-pool columns, also returning the winning source column per cell.
+def max_pool_forward(x: np.ndarray, spec: WindowSpec,
+                     lengths=None) -> tuple[np.ndarray, np.ndarray]:
+    """Max-pool columns, also returning the winning source column per cell;
+    with ``lengths``, each clip's pools stay within its own columns.
 
     Ties go to the first (lowest-index) column, which is where the backward
     pass routes the gradient.
     """
-    cat, lengths = _side_by_side(x)
-    starts = _starts(lengths, spec)
-    blocks = cat[:, starts[:, None] + np.arange(spec.width)]   # (n, count, width)
+    starts = _starts(x.shape[1] if lengths is None else lengths, spec)
+    blocks = x[:, starts[:, None] + np.arange(spec.width)]   # (n, count, width)
     argmax = np.argmax(blocks, axis=2) + starts
-    return np.take_along_axis(cat, argmax, axis=1), argmax
+    return np.take_along_axis(x, argmax, axis=1), argmax
 
 
 def max_pool_backward(argmax: np.ndarray, dout: np.ndarray, length: int) -> np.ndarray:

@@ -7,11 +7,13 @@ sequence per feature.  Trailing frames that do not fill a window are
 dropped, and the recurrent extractors restart from zero state in every
 window, so window w's features depend only on the frames inside w.
 
-A list of clips of their own lengths gives a list of outputs.  Because
-every window starts from zero state, the windows of all clips run
-through the extractor as one batch, clip after clip on the column axis;
-reduction and pooling then work on each clip's own column range through
-index arrays, never across a clip boundary.
+Several clips of their own lengths come side by side, clip by clip, on
+the column axis, with their frame counts as ``lengths`` (``None`` means
+one clip), and their outputs leave the same way, each clip's output
+column count recorded on the trace.  Because every window starts from
+zero state, the windows of all clips run through the extractor as one
+batch; reduction and pooling then work on each clip's own column range
+through index arrays, never across a clip boundary.
 
 Extractor kinds:
 
@@ -55,9 +57,9 @@ from .framing import (
     max_pool_forward,
     scatter_windows_add,
     stack_windows,
-    window_counts,
+    window_count,
 )
-from .numerics import ACTIVATIONS, Rng, as_clips, init_params, relu
+from .numerics import ACTIVATIONS, Rng, init_params, relu
 
 KINDS = ("conv", "clstm", "extended_clstm", "cblstm")
 SOURCES = ("hidden", "cell", "output")
@@ -156,9 +158,9 @@ def init_layer(config: CrnnLayerConfig, input_dim: int, rng: Rng):
 @dataclass
 class LayerTrace:
     lengths: np.ndarray                  # input frame count of each clip
-    single: bool                         # the input was one sequence, not a list
     windows: np.ndarray                  # (width, k, W): every clip's windows in turn
-    prepool: np.ndarray                  # (n, W) features before pooling
+    prepool: np.ndarray | None = None    # (n, W) features before pooling
+    out_lengths: np.ndarray | None = None  # output column count of each clip
     conv_preact: np.ndarray | None = None
     cell_trace: LstmTrace | None = None
     bwd_trace: LstmTrace | None = None   # cblstm only
@@ -191,12 +193,6 @@ def _reduce_backward(dvals: np.ndarray, reduction: str, steps: int,
     return dseq
 
 
-def split_columns(cols: np.ndarray, counts) -> list[np.ndarray]:
-    """Side-by-side clip columns back to one view per clip."""
-    ends = np.cumsum(counts).tolist()
-    return [cols[:, a:b] for a, b in zip([0] + ends, ends)]
-
-
 def _check_fill(counts: np.ndarray, sizes, what: str, spec: WindowSpec, unit: str) -> None:
     short = np.flatnonzero(counts < 1)
     if short.size:
@@ -204,17 +200,17 @@ def _check_fill(counts: np.ndarray, sizes, what: str, spec: WindowSpec, unit: st
             f"{sizes[short[0]]} {unit} cannot fill a {what} of width {spec.width}")
 
 
-def layer_forward(config: CrnnLayerConfig, params, x
-                  ) -> tuple[np.ndarray | list[np.ndarray], LayerTrace]:
-    """Apply one layer to a k-by-l sequence, or to a list of clips; returns
-    (the n-by-l' output, or one per clip, trace)."""
-    clips, single = as_clips(x)
-    lengths = np.array([c.shape[1] for c in clips])
-    counts = window_counts(lengths, config.window)
+def layer_forward(config: CrnnLayerConfig, params, x: np.ndarray,
+                  lengths=None) -> tuple[np.ndarray, LayerTrace]:
+    """Apply one layer to a k-by-l sequence, or to clips of ``lengths``
+    frames side by side; returns (the n-by-l' output, clips side by side,
+    trace)."""
+    lengths = np.atleast_1d(x.shape[1] if lengths is None else lengths)
+    counts = window_count(lengths, config.window)
     _check_fill(counts, lengths, "window", config.window, "frames")
-    xw = stack_windows(clips, config.window)
+    xw = stack_windows(x, config.window, lengths)
 
-    trace = LayerTrace(lengths=lengths, single=single, windows=xw, prepool=None)
+    trace = LayerTrace(lengths=lengths, windows=xw)
     if config.kind == "conv":
         z = np.tensordot(params.weights, xw, axes=([1, 2], [1, 0])) + params.biases[:, None]
         trace.conv_preact = z
@@ -237,22 +233,22 @@ def layer_forward(config: CrnnLayerConfig, params, x
 
     trace.prepool = feats
     if config.pool is not None:
-        pooled = window_counts(counts, config.pool)
+        pooled = window_count(counts, config.pool)
         _check_fill(pooled, counts, "pool", config.pool, "windows")
-        feats, trace.pool_argmax = max_pool_forward(split_columns(feats, counts), config.pool)
+        feats, trace.pool_argmax = max_pool_forward(feats, config.pool, counts)
         counts = pooled
-    return (feats if single else split_columns(feats, counts)), trace
+    trace.out_lengths = counts
+    return feats, trace
 
 
 def layer_backward(config: CrnnLayerConfig, params, trace: LayerTrace,
-                   dout) -> tuple[object, np.ndarray | list[np.ndarray]]:
+                   dout: np.ndarray) -> tuple[object, np.ndarray]:
     """Gradients of a scalar loss through one layer.
 
     ``dout`` matches the layer output; returns (parameter gradients shaped
     like ``params``, gradient w.r.t. the layer input, shaped like it).
     """
-    dfeats = np.asarray(dout if trace.single else np.concatenate(dout, axis=1),
-                        dtype=np.float64)
+    dfeats = np.asarray(dout, dtype=np.float64)
     if config.pool is not None:
         dfeats = max_pool_backward(trace.pool_argmax, dfeats, trace.prepool.shape[1])
 
@@ -285,8 +281,7 @@ def layer_backward(config: CrnnLayerConfig, params, trace: LayerTrace,
         lstm_grads, dxw = lstm_backward(params.lstm, trace.cell_trace, **{key: dseq})
         grads = ClstmParams(lstm=lstm_grads, proj=proj_grads)
 
-    dx = scatter_windows_add(dxw, config.window, trace.lengths)
-    return grads, (dx if trace.single else split_columns(dx, trace.lengths))
+    return grads, scatter_windows_add(dxw, config.window, trace.lengths)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,11 @@ backward pass mirrors the forward exactly and is verified against finite
 differences in the test suite.
 
 The input is one k-by-l sequence or a list of k-by-l_j clips of their
-own lengths.  A list runs as one batch through every layer.  The head
+own lengths.  ``model_forward`` lays the clips side by side, clip by
+clip, on the column axis and passes their frame counts as ``lengths`` to
+every layer, so a list runs as one batch through every layer; the input
+gradient is split back into one array per clip only at the end of
+``model_backward``.  The head
 packs the clips longest first into a zero-padded (T, k', B) stack and
 runs, at step t, only the clips still longer than t (the idea behind
 PyTorch's PackedSequence); the dense and softmax layers then see just the
@@ -52,7 +56,6 @@ from .layers import (
     layer_forward,
     softmax_backward,
     softmax_columns,
-    split_columns,
 )
 from .numerics import Rng, as_clips
 
@@ -186,15 +189,16 @@ def model_forward(config: ModelConfig, params: ModelParams, x
     """Averaged class distribution for one k-by-l sequence (shape (C,)) or
     for each of a list of clips (shape (C, B)), plus the trace the backward
     pass consumes."""
-    feats, single = as_clips(x)
+    clips, single = as_clips(x)
     trace = ModelTrace(single=single)
+    feats = clips[0] if len(clips) == 1 else np.concatenate(clips, axis=1)
+    trace.steps = np.array([c.shape[1] for c in clips])
     for lc, lp in zip(config.layers, params.layers):
-        feats, ltr = layer_forward(lc, lp, feats)
+        feats, ltr = layer_forward(lc, lp, feats, trace.steps)
         trace.layer_traces.append(ltr)
-    trace.steps = np.array([f.shape[1] for f in feats])
+        trace.steps = ltr.out_lengths
     lengths, trace.cols = _head_layout(trace.steps)
-    seq = _pack(np.concatenate(feats, axis=1), trace.cols,
-                (lengths[0], feats[0].shape[0], len(feats)))
+    seq = _pack(feats, trace.cols, (lengths[0], len(feats), len(clips)))
 
     if config.classifier == "lstm":
         ctr = lstm_forward(params.classifier, seq, lengths)
@@ -248,16 +252,20 @@ def model_backward(config: ModelConfig, params: ModelParams, trace: ModelTrace,
         dy = _pack(dacts * (trace.dense_pre > 0.0), trace.cols, (T, len(dacts), B))
         g_cls, dseq = blstm_backward(params.classifier, trace.cls_trace,
                                      trace.cls_bwd_trace, dy)
-    dfeats = split_columns(_unpack(dseq, trace.cols), trace.steps)
+    dx = _unpack(dseq, trace.cols)
 
     g_layers = [None] * len(params.layers)
     for i in reversed(range(len(params.layers))):
-        g_layers[i], dfeats = layer_backward(config.layers[i], params.layers[i],
-                                             trace.layer_traces[i], dfeats)
+        g_layers[i], dx = layer_backward(config.layers[i], params.layers[i],
+                                         trace.layer_traces[i], dx)
 
     grads = ModelParams(layers=g_layers, classifier=g_cls, dense=g_dense,
                         softmax=g_softmax)
-    return grads, (dfeats[0] if trace.single else dfeats)
+    if trace.single:
+        return grads, dx
+    # the input frame counts: the first layer's, or the head's without layers
+    lengths = trace.layer_traces[0].lengths if trace.layer_traces else trace.steps
+    return grads, np.split(dx, np.cumsum(lengths)[:-1], axis=1)
 
 
 def predict_proba(config: ModelConfig, params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -71,17 +71,38 @@ def loss_gradients(config: ModelConfig, params: ModelParams, x,
 
 
 # ---------------------------------------------------------------------------
-# Adam.
+# Training settings and Adam.
+
+@dataclass
+class TrainConfig:
+    batch_size: int = 16
+    max_epochs: int = 100
+    patience: int = 12
+    seed: int = 0
+    lr: float = 0.002
+    beta1: float = 0.1
+    beta2: float = 0.001
+    epsilon: float = 1e-8
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.patience < 1:
+            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        _check_adam(self.lr, self.beta1, self.beta2, self.epsilon)
+
 
 @dataclass
 class AdamState:
     m: ModelParams        # first-moment tree, shapes mirror the parameters
     v: ModelParams        # second-moment tree
-    t: int = 0
-    lr: float = 0.002
-    beta1: float = 0.1
-    beta2: float = 0.001
-    epsilon: float = 1e-8
+    t: int
+    lr: float
+    beta1: float
+    beta2: float
+    epsilon: float
 
 
 def _check_adam(lr: float, beta1: float, beta2: float, epsilon: float) -> None:
@@ -91,10 +112,11 @@ def _check_adam(lr: float, beta1: float, beta2: float, epsilon: float) -> None:
         raise ValueError("beta1 and beta2 must lie in [0, 1)")
 
 
-def init_adam(params, lr: float = 0.002, beta1: float = 0.1,
-              beta2: float = 0.001, epsilon: float = 1e-8) -> AdamState:
+def init_adam(params, lr: float = TrainConfig.lr, beta1: float = TrainConfig.beta1,
+              beta2: float = TrainConfig.beta2,
+              epsilon: float = TrainConfig.epsilon) -> AdamState:
     _check_adam(lr, beta1, beta2, epsilon)
-    return AdamState(m=zeros_like_tree(params), v=zeros_like_tree(params),
+    return AdamState(m=zeros_like_tree(params), v=zeros_like_tree(params), t=0,
                      lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
 
 
@@ -119,27 +141,6 @@ def adam_step(state: AdamState, params, grads) -> None:
 
 # ---------------------------------------------------------------------------
 # Epoch loop.
-
-@dataclass
-class TrainConfig:
-    batch_size: int = 16
-    max_epochs: int = 100
-    patience: int = 12
-    seed: int = 0
-    lr: float = 0.002
-    beta1: float = 0.1
-    beta2: float = 0.001
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        _check_adam(self.lr, self.beta1, self.beta2, self.epsilon)
-
 
 @dataclass
 class EpochRecord:

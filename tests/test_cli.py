@@ -118,6 +118,15 @@ class TestTrain:
         assert cli.main(["train", "--config", str(cfg)]) == 3
         assert "error: data:" in capsys.readouterr().err
 
+    def test_feature_dim_mismatch_is_data_error(self, tmp_path, capsys):
+        train_tsv = write_split(tmp_path, "train", 4, seed=1, k=3)
+        val_tsv = write_split(tmp_path, "val", 4, seed=2, k=3)
+        cfg = write_run_config(tmp_path, train_tsv, val_tsv)
+        assert cli.main(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"error: data: {train_tsv}: feature files have k = 3 rows" in err
+        assert "input_dim is 2" in err
+
     def test_non_finite_gradient_is_numeric_error(self, tmp_path, capsys):
         train_tsv = write_split(tmp_path, "train", 16, seed=1)
         val_tsv = write_split(tmp_path, "val", 8, seed=2)
@@ -148,6 +157,15 @@ class TestEval:
         assert cli.main(["eval", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "2" in err and "3" in err
+
+    def test_feature_dim_mismatch_is_data_error(self, trained, capsys):
+        tmp_path, cfg = trained
+        test_tsv = write_split(tmp_path, "test", 4, seed=3, k=3)
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", str(cfg), "--data", str(test_tsv)]) == 3
+        err = capsys.readouterr().err
+        assert f"error: data: {test_tsv}: feature files have k = 3 rows" in err
+        assert "input_dim is 2" in err
 
     def test_missing_model_file_is_data_error(self, tmp_path, capsys):
         val_tsv = write_split(tmp_path, "val", 4, seed=2)

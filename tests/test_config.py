@@ -1,7 +1,11 @@
 import pytest
 
-from crnn.config import ConfigError, parse_config, parse_config_text, render_config
+from crnn.config import (ConfigError, RunConfig, parse_config, parse_config_text,
+                         render_config)
 from crnn.framing import WindowSpec
+from crnn.layers import CrnnLayerConfig
+from crnn.model import ModelConfig, age_gender_model_config, emotion_model_config
+from crnn.training import TrainConfig
 
 MINIMAL = "input_dim = 26\nclasses = 5\n"
 
@@ -176,3 +180,119 @@ class TestRender:
         p = tmp_path / "run.cfg"
         p.write_text(FULL)
         assert parse_config(p) == parse_config_text(FULL)
+
+
+# Sidecars as earlier versions of render_config wrote them, layers in the
+# middle; they must keep loading, and today's rendering writes the same lines.
+AGE_GENDER_SIDECAR = """input_dim = 26
+classes = 4
+classifier = blstm
+classifier_dim = 256
+dense_dim = 400
+aggregation = all
+aggregation_steps = 4
+layer1.kind = cblstm
+layer1.features = 100
+layer1.window = 5
+layer1.shift = 2
+layer1.pool = 2
+layer1.pool_shift = 2
+layer1.source = cell
+layer1.reduction = max
+layer1.hidden_dim = 100
+lr = 0.002
+beta1 = 0.1
+beta2 = 0.001
+epsilon = 1e-08
+batch_size = 16
+max_epochs = 100
+patience = 12
+seed = 0
+balance = false
+normalize = true
+out_dir = runs/agegender
+"""
+
+EMOTION_SIDECAR = """input_dim = 26
+classes = 5
+classifier = lstm
+classifier_dim = 256
+dense_dim = 400
+aggregation = last
+aggregation_steps = 4
+layer1.kind = clstm
+layer1.features = 100
+layer1.window = 5
+layer1.shift = 2
+layer1.pool = 2
+layer1.pool_shift = 2
+layer1.source = cell
+layer1.reduction = last
+layer2.kind = clstm
+layer2.features = 100
+layer2.window = 5
+layer2.shift = 2
+layer2.pool = 2
+layer2.pool_shift = 2
+layer2.source = cell
+layer2.reduction = last
+lr = 0.002
+beta1 = 0.1
+beta2 = 0.001
+epsilon = 1e-08
+batch_size = 16
+max_epochs = 100
+patience = 12
+seed = 3
+balance = false
+normalize = false
+train_manifest = train.tsv
+"""
+
+CONV_SIDECAR = """input_dim = 2
+classes = 2
+classifier = lstm
+classifier_dim = 256
+dense_dim = 400
+aggregation = all
+aggregation_steps = 4
+layer1.kind = conv
+layer1.features = 4
+layer1.window = 3
+layer1.shift = 2
+layer1.activation = relu
+lr = 0.002
+beta1 = 0.1
+beta2 = 0.001
+epsilon = 1e-08
+batch_size = 16
+max_epochs = 100
+patience = 12
+seed = 0
+balance = false
+normalize = false
+"""
+
+
+def old_sidecar_runs():
+    conv = CrnnLayerConfig(kind="conv", features=4, window=WindowSpec(3, 2),
+                           activation="relu")
+    return [
+        (AGE_GENDER_SIDECAR, RunConfig(model=age_gender_model_config(), train=TrainConfig(),
+                                       normalize=True, out_dir="runs/agegender")),
+        (EMOTION_SIDECAR, RunConfig(model=emotion_model_config(), train=TrainConfig(seed=3),
+                                    train_manifest="train.tsv")),
+        (CONV_SIDECAR, RunConfig(model=ModelConfig(input_dim=2, num_classes=2, layers=(conv,)),
+                                 train=TrainConfig())),
+    ]
+
+
+@pytest.mark.parametrize("text, run", old_sidecar_runs(),
+                         ids=["agegender", "emotion", "conv"])
+class TestOldSidecars:
+    def test_parses_to_the_run_it_was_written_for(self, text, run):
+        assert parse_config_text(text) == run
+
+    def test_rendering_writes_the_same_lines(self, text, run):
+        rendered = render_config(run)
+        assert sorted(rendered.splitlines()) == sorted(text.splitlines())

@@ -389,6 +389,13 @@ class TestFeatureFiles:
         with pytest.raises(DataError, match="header"):
             read_features(path)
 
+    @pytest.mark.parametrize("text", ["-2\n-2\nrow-major\n1 2\n3 4\n", "0\n5\nrow-major\n"])
+    def test_header_shape_must_be_positive(self, tmp_path, text):
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        with pytest.raises(DataError, match="header gives a"):
+            read_features(path)
+
     def test_bad_layout(self, tmp_path):
         path = tmp_path / "f.txt"
         path.write_text("1\n1\ncolumn-major\n1\n")

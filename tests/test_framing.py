@@ -10,7 +10,6 @@ from crnn.framing import (
     scatter_windows_add,
     stack_windows,
     window_count,
-    window_starts,
 )
 from crnn.numerics import Rng, as_matrix
 
@@ -173,8 +172,3 @@ class TestMaxPool:
                 down = float(np.sum(probe * max_pool_forward(x, spec)[0]))
                 x[i, j] += step
                 assert dx[i, j] == pytest.approx((up - down) / (2 * step), abs=1e-6)
-
-
-def test_window_starts_spacing():
-    starts = list(window_starts(11, WindowSpec(4, 3)))
-    assert starts == [0, 3, 6]
