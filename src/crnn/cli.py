@@ -36,7 +36,7 @@ from .layers import CrnnLayerConfig, SequenceTooShortError
 from .model import ModelConfig, min_sequence_length
 from .numerics import Rng, ShapeError
 from .serialize import load_model, save_model, write_atomic
-from .training import NumericError, evaluate, grad_check, train
+from .training import NumericError, _check_lengths, evaluate, grad_check, train
 
 GRADCHECK_LIMIT = 1e-4
 
@@ -74,11 +74,13 @@ def _out_dir(args, run: RunConfig | None) -> Path:
 
 
 def _read_split(manifest, model: ModelConfig) -> Dataset:
-    """A feature manifest whose files must have the model's input_dim rows."""
+    """A feature manifest whose files must have the model's input_dim rows
+    and enough frames for its framing."""
     dataset = read_manifest(manifest, model.num_classes)
     if dataset.feature_dim != model.input_dim:
         raise DataError(f"{manifest}: feature files have k = {dataset.feature_dim} "
                         f"rows, but the model's input_dim is {model.input_dim}")
+    _check_lengths(model, dataset, str(manifest))
     return dataset
 
 

@@ -230,9 +230,7 @@ def read_wav(path) -> tuple[np.ndarray, int]:
 
     raw = np.frombuffer(data[:len(data) - len(data) % 2], dtype="<i2")
     raw = raw[:len(raw) - len(raw) % channels]
-    samples = raw.astype(np.float64)
-    if channels > 1:
-        samples = samples.reshape(-1, channels).mean(axis=1)
+    samples = raw.astype(np.float64).reshape(-1, channels).mean(axis=1)
     return samples / 32768.0, int(rate)
 
 
@@ -279,10 +277,7 @@ class MelConfig:
 
     @property
     def fft_size(self) -> int:
-        n = 1
-        while n < self.window_samples:
-            n *= 2
-        return n
+        return 1 << (self.window_samples - 1).bit_length()
 
 
 def hz_to_mel(f):
@@ -307,13 +302,10 @@ def mel_filterbank(cfg: MelConfig) -> np.ndarray:
     evaluated at the FFT bin frequencies, linear in Hz between edges."""
     edges = mel_edge_frequencies(cfg)
     bins = np.arange(cfg.fft_size // 2 + 1) * (cfg.sample_rate / cfg.fft_size)
-    fb = np.zeros((cfg.num_filters, bins.shape[0]))
-    for j in range(cfg.num_filters):
-        lo, center, hi = edges[j], edges[j + 1], edges[j + 2]
-        rising = (bins - lo) / (center - lo)
-        falling = (hi - bins) / (hi - center)
-        fb[j] = np.clip(np.minimum(rising, falling), 0.0, None)
-    return fb
+    lo, center, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+    rising = (bins - lo) / (center - lo)
+    falling = (hi - bins) / (hi - center)
+    return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
 def log_mel(samples: np.ndarray, cfg: MelConfig) -> np.ndarray:
@@ -329,15 +321,11 @@ def log_mel(samples: np.ndarray, cfg: MelConfig) -> np.ndarray:
     if samples.shape[0] < win:
         raise DataError(
             f"{samples.shape[0]} samples is shorter than one {win}-sample window")
-    frames = 1 + (samples.shape[0] - win) // hop
-    hann = np.hanning(win)
-    fb = mel_filterbank(cfg)
-    out = np.empty((cfg.num_filters, frames))
-    for i in range(frames):
-        seg = samples[i * hop:i * hop + win] * hann
-        power = np.abs(np.fft.rfft(seg, n=cfg.fft_size)) ** 2
-        out[:, i] = np.log(np.maximum(fb @ power, cfg.log_floor))
-    return out
+    frames = np.lib.stride_tricks.sliding_window_view(samples, win)[::hop]
+    power = np.abs(np.fft.rfft(frames * np.hanning(win), n=cfg.fft_size)) ** 2
+    # one matrix-vector product per frame: a single GEMM rounds differently
+    energies = np.matmul(mel_filterbank(cfg), power[:, :, None])[:, :, 0]
+    return np.ascontiguousarray(np.log(np.maximum(energies, cfg.log_floor)).T)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +336,7 @@ def write_features(path, features: np.ndarray) -> None:
     k*l values, one feature row per line."""
     m = as_matrix(features)
     k, l = m.shape
-    lines = [str(k), str(l), "row-major"]
-    lines += [" ".join(f"{v:.17g}" for v in row) for row in m]
-    Path(path).write_text("\n".join(lines) + "\n")
+    np.savetxt(path, m, fmt="%.17g", header=f"{k}\n{l}\nrow-major", comments="")
 
 
 def read_features(path) -> np.ndarray:
@@ -369,10 +355,9 @@ def read_features(path) -> np.ndarray:
     if len(values) != k * l:
         raise DataError(f"{path}: expected {k * l} values, found {len(values)}")
     try:
-        m = np.array([float(v) for v in values]).reshape(k, l)
+        return np.array(values, dtype=np.float64).reshape(k, l)
     except ValueError:
         raise DataError(f"{path}: non-numeric value in feature data") from None
-    return m
 
 
 def _manifest_rows(path: Path, kind: str):
@@ -407,6 +392,10 @@ def read_manifest(path, num_classes: int | None = None) -> Dataset:
                 for rel, fpath, label, group in _manifest_rows(path, "feature")]
     if not examples:
         raise DataError(f"{path}: manifest lists no examples")
+    for ex in examples:
+        if ex.features.shape[0] != examples[0].features.shape[0]:
+            raise DataError(f"{path}: {ex.source_id} has k = {ex.features.shape[0]} rows, "
+                            f"but {examples[0].source_id} has {examples[0].features.shape[0]}")
     if num_classes is None:
         num_classes = max(ex.label for ex in examples) + 1
     return Dataset(examples=examples, num_classes=num_classes)

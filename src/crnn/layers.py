@@ -164,7 +164,6 @@ class LayerTrace:
     conv_preact: np.ndarray | None = None
     cell_trace: LstmTrace | None = None
     bwd_trace: LstmTrace | None = None   # cblstm only
-    proj_seq: np.ndarray | None = None   # projected/combined sequence (T, n, W)
     time_argmax: np.ndarray | None = None
     pool_argmax: np.ndarray | None = None
 
@@ -217,7 +216,6 @@ def layer_forward(config: CrnnLayerConfig, params, x: np.ndarray,
         feats = ACTIVATIONS[config.activation](z)
     elif config.kind == "cblstm":
         y, trace.cell_trace, trace.bwd_trace = blstm_forward(params, xw)
-        trace.proj_seq = y
         feats, trace.time_argmax = _reduce(y, config.reduction)
     else:
         tr = lstm_forward(params.lstm, xw)
@@ -228,7 +226,6 @@ def layer_forward(config: CrnnLayerConfig, params, x: np.ndarray,
             seq = tr.c
         else:
             seq = np.matmul(params.proj.W, tr.h) + params.proj.b[None, :, None]
-            trace.proj_seq = seq
         feats, trace.time_argmax = _reduce(seq, config.reduction)
 
     trace.prepool = feats

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, parse_config_text, render_config
-from .data import DataError
+from .data import DataError, _read_text
 from .model import ModelParams, init_model
 from .numerics import Rng, named_arrays
 
@@ -134,7 +134,7 @@ def load_model(path) -> tuple[RunConfig, ModelParams]:
     side = sidecar_path(path)
     if not side.exists():
         raise ModelFileError(f"{path}: missing config sidecar {side}")
-    run = parse_config_text(side.read_text(), origin=str(side))
+    run = parse_config_text(_read_text(side), origin=str(side))
     params = init_model(run.model, Rng(0))
     assign_named(params, read_tensors(path), origin=str(path))
     return run, params

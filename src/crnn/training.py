@@ -192,12 +192,14 @@ def should_stop(history: list[float], patience: int) -> bool:
 
 
 def _check_lengths(config: ModelConfig, dataset, split: str) -> None:
+    """Raise SequenceTooShortError naming the first clip too short for the
+    model's framing; ``split`` names where the clips came from."""
     need = min_sequence_length(config)
     for idx, ex in enumerate(dataset.examples):
         if ex.features.shape[1] < need:
             raise SequenceTooShortError(
-                f"{split} example {idx} has {ex.features.shape[1]} frames; "
-                f"the model's framing needs at least {need}")
+                f"{split} example {idx} ({ex.source_id!r}) has "
+                f"{ex.features.shape[1]} frames; the model's framing needs at least {need}")
 
 
 def train(config: ModelConfig, tc: TrainConfig, train_set, val_set,

@@ -167,6 +167,30 @@ class TestEval:
         assert f"error: data: {test_tsv}: feature files have k = 3 rows" in err
         assert "input_dim is 2" in err
 
+    def test_short_clip_names_manifest_and_file(self, trained, capsys):
+        tmp_path, cfg = trained
+        test_tsv = write_split(tmp_path, "test", 4, seed=3)
+        write_features(tmp_path / "test0002.txt", np.zeros((2, 2)))
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", str(cfg), "--data", str(test_tsv)]) == 3
+        err = capsys.readouterr().err
+        assert f"error: data: {test_tsv} example 2 ('test0002.txt') has 2 frames" in err
+
+    @pytest.mark.parametrize("damage, reason", [("binary", "is not text"),
+                                                ("directory", "cannot read")])
+    def test_unreadable_sidecar_is_data_error(self, trained, capsys, damage, reason):
+        tmp_path, cfg = trained
+        side = tmp_path / "out" / "model.bin.cfg"
+        side.unlink()
+        if damage == "binary":
+            side.write_bytes(b"\xff\xfe")
+        else:
+            side.mkdir()
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and "model.bin.cfg" in err and reason in err
+
     def test_missing_model_file_is_data_error(self, tmp_path, capsys):
         val_tsv = write_split(tmp_path, "val", 4, seed=2)
         cfg = write_run_config(tmp_path, val_tsv, val_tsv)

@@ -45,6 +45,35 @@ def make_dataset(counts, k=2, l=4, seed=0):
     return Dataset(examples=examples, num_classes=len(counts))
 
 
+def oracle_mel_filterbank(cfg):
+    """The filterbank built one filter at a time; mel_filterbank must
+    match it bit for bit."""
+    edges = mel_edge_frequencies(cfg)
+    bins = np.arange(cfg.fft_size // 2 + 1) * (cfg.sample_rate / cfg.fft_size)
+    fb = np.zeros((cfg.num_filters, bins.shape[0]))
+    for j in range(cfg.num_filters):
+        lo, center, hi = edges[j], edges[j + 1], edges[j + 2]
+        rising = (bins - lo) / (center - lo)
+        falling = (hi - bins) / (hi - center)
+        fb[j] = np.clip(np.minimum(rising, falling), 0.0, None)
+    return fb
+
+
+def oracle_log_mel(samples, cfg):
+    """Log mel energies one frame at a time: one rfft and one
+    matrix-vector product per frame; log_mel must match it bit for bit."""
+    win, hop = cfg.window_samples, cfg.hop_samples
+    frames = 1 + (samples.shape[0] - win) // hop
+    hann = np.hanning(win)
+    fb = oracle_mel_filterbank(cfg)
+    out = np.empty((cfg.num_filters, frames))
+    for i in range(frames):
+        seg = samples[i * hop:i * hop + win] * hann
+        power = np.abs(np.fft.rfft(seg, n=cfg.fft_size)) ** 2
+        out[:, i] = np.log(np.maximum(fb @ power, cfg.log_floor))
+    return out
+
+
 class TestDatasetValidation:
     def test_mixed_feature_dims_rejected(self):
         exs = [SequenceExample(np.zeros((2, 3)), 0, source_id="a"),
@@ -363,6 +392,34 @@ class TestMel:
             MelConfig(sample_rate=0)
 
 
+RATES = [8000, 16000, 22050, 44100]
+
+
+class TestMelOracle:
+    @pytest.mark.parametrize("rate", RATES)
+    def test_fft_size_is_next_power_of_two(self, rate):
+        for window_ms in (0.5, 1.0, 12.5, 25.0, 64.0):
+            cfg = MelConfig(sample_rate=rate, window_ms=window_ms, hop_ms=0.25)
+            n = cfg.fft_size
+            assert n & (n - 1) == 0 and n // 2 < cfg.window_samples <= n
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_filterbank_matches_oracle(self, rate):
+        cfg = MelConfig(sample_rate=rate)
+        np.testing.assert_array_equal(mel_filterbank(cfg), oracle_mel_filterbank(cfg))
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_log_mel_matches_oracle(self, rate):
+        cfg = MelConfig(sample_rate=rate)
+        win, hop = cfg.window_samples, cfg.hop_samples
+        rng = Rng(rate)
+        for n in (win, win + 1, win + hop - 1, win + hop, win + 7 * hop + 3, 3 * rate + 11):
+            x = rng.normal(0.0, 0.1, n)
+            got = log_mel(x, cfg)
+            np.testing.assert_array_equal(got, oracle_log_mel(x, cfg))
+            assert got.flags.c_contiguous
+
+
 class TestFeatureFiles:
     def test_round_trip_exact(self, tmp_path):
         m = Rng(8).normal(0, 1, (3, 5))
@@ -370,6 +427,12 @@ class TestFeatureFiles:
         write_features(path, m)
         got = read_features(path)
         np.testing.assert_array_equal(got, m)   # %.17g round-trips float64
+
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "f.txt"
+        write_features(path, np.array([[-0.0, 0.1, 1.0], [1e-300, -2.5, 1 / 3]]))
+        assert path.read_bytes() == (b"2\n3\nrow-major\n-0 0.10000000000000001 1\n"
+                                     b"1e-300 -2.5 0.33333333333333331\n")
 
     def test_header_shape(self, tmp_path):
         path = tmp_path / "f.txt"
@@ -449,6 +512,14 @@ class TestManifest:
     def test_empty_manifest_rejected(self, tmp_path):
         (tmp_path / "m.tsv").write_text("# nothing\n")
         with pytest.raises(DataError, match="no examples"):
+            read_manifest(tmp_path / "m.tsv")
+
+    def test_mixed_feature_dims_name_the_file(self, tmp_path):
+        write_features(tmp_path / "a.txt", np.zeros((2, 3)))
+        write_features(tmp_path / "b.txt", np.zeros((2, 4)))
+        write_features(tmp_path / "c.txt", np.zeros((3, 3)))
+        (tmp_path / "m.tsv").write_text("a.txt\t0\tg\nb.txt\t0\tg\nc.txt\t1\tg\n")
+        with pytest.raises(DataError, match=r"m\.tsv: c\.txt has k = 3 rows, but a\.txt has 2"):
             read_manifest(tmp_path / "m.tsv")
 
 
