@@ -46,10 +46,21 @@ backward pass reads h_{t-1} and c_{t-1} as views.  The backward pass
 keeps the gate gradients as (4n, T*B) columns and forms each weight
 gradient as one GEMM after the time loop; accumulating them step by step
 inside the loop is slower at the narrow head batches.
+
+Work that splits into independent parts, such as a BLSTM's two
+directions, goes through ``run_tasks``, which runs the parts side by side
+on up to ``set_workers`` threads.  numpy releases the interpreter lock
+inside BLAS calls and large ufunc loops, so the threads overlap there
+while BLAS itself stays single-threaded.  Each part's arithmetic is fixed
+by the data alone, so the worker count never changes a result.  Small
+LSTMs stay on one thread (``worth_a_task``).
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +130,98 @@ def init_blstm(input_dim: int, hidden_dim: int, out_dim: int, rng: Rng,
         b_y=np.zeros(out_dim),
         source=source,
     )
+
+
+# ---------------------------------------------------------------------------
+# Task executor.
+
+def _default_workers() -> int:
+    """The CPUs this process may run on, at most 2: no call has more than
+    two tasks."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, 2)
+
+
+# Multiply-adds in one step of an LSTM, B * n * (n + k), from which it runs
+# as a task beside another.  The threads overlap only inside BLAS calls; at
+# every other numpy call they pass the interpreter lock back and forth, and
+# each pass wakes the other thread.  A step below this holds the lock for
+# much of its time: split, the age/gender BLSTM-256 head over 1-8 clips
+# (9e4-7e5) ran 1.7x faster on an idle host, but its threads woke each
+# other about 3500 times a second, so on a busy shared host, where a
+# wake-up waits for the other vCPU, it fell to one thread's speed or
+# below and the age/gender rates varied up to 3x from run to run.  From
+# here up (clstm and cblstm window batches, 1e6-7e7) the threads wake each
+# other under 350 times a second and two tasks ran at 1.2-1.8x.  Tiny
+# LSTMs (n <= 32 over hundreds of columns) ran at 0.4-0.98x.
+_TASK_MIN_MACS = 1_000_000
+
+_workers = _default_workers()
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+_task = threading.local()
+
+
+def set_workers(n: int | None = None) -> None:
+    """Run ``run_tasks`` on ``n`` threads, the caller's included (None
+    restores the default).  Only the schedule changes, never a result."""
+    global _workers, _pool
+    if n is not None and n < 1:
+        raise ValueError(f"workers must be >= 1, got {n}")
+    with _pool_lock:
+        if _pool is not None:
+            _pool.shutdown()
+            _pool = None
+        _workers = _default_workers() if n is None else n
+
+
+def _helpers() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_workers - 1, thread_name_prefix="crnn-task")
+        return _pool
+
+
+def _in_task(thunk):
+    _task.inside = True
+    try:
+        return thunk()
+    finally:
+        _task.inside = False
+
+
+def worth_a_task(p: LstmParams, cols: int) -> bool:
+    """Whether running ``p`` over ``cols`` columns is work enough to go to
+    a thread of its own (see ``_TASK_MIN_MACS``)."""
+    return cols * p.n * (p.n + p.input_dim) >= _TASK_MIN_MACS
+
+
+def run_tasks(thunks, worth: bool = True) -> list:
+    """Call each of the independent zero-argument ``thunks`` and return
+    their results in order.  The first runs on the calling thread and the
+    rest on the helper pool, but the caller takes back any that no helper
+    has started by the time its own is done, so a helper slow to get a CPU
+    costs no more than running in turn; an exception in any reaches the
+    caller unchanged.  They run in turn on the caller when ``worth`` is
+    false, and in a call from inside a task, since that task may hold the
+    only helper thread."""
+    thunks = list(thunks)
+    if not worth or _workers < 2 or len(thunks) < 2 or getattr(_task, "inside", False):
+        return [thunk() for thunk in thunks]
+    futures = [_helpers().submit(_in_task, thunk) for thunk in thunks[1:]]
+    try:
+        first = _in_task(thunks[0])
+        rest = [_in_task(thunk) if f.cancel() else f.result()
+                for f, thunk in zip(futures, thunks[1:])]
+    finally:
+        # no task outlives the call, even when one failed; a cancelled one
+        # counts as done only once a helper dequeues it, so it is not waited on
+        wait([f for f in futures if not f.cancel()])
+    return [first] + rest
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +384,15 @@ def lstm_forward(p: LstmParams, x: np.ndarray, lengths=None) -> LstmTrace:
     return tr
 
 
-def lstm_backward(p: LstmParams, trace: LstmTrace, dh=None, dc=None
-                  ) -> tuple[LstmParams, np.ndarray]:
+def lstm_backward(p: LstmParams, trace: LstmTrace, dh=None, dc=None, need_dx: bool = True
+                  ) -> tuple[LstmParams, np.ndarray | None]:
     """Reverse-mode gradients through the full recurrence.
 
     dh and dc are the (T, n, B) loss gradients with respect to the hidden
     and cell sequences (either may be omitted; in a packed run, entries
     past a column's length are ignored).  Returns a gradient bundle shaped
-    like ``p`` and the (T, k, B) gradient with respect to the input.
+    like ``p`` and the (T, k, B) gradient with respect to the input, or
+    None for it when ``need_dx`` is false.
     """
     T, n, B = trace.h.shape
     dH = _upstream(dh, trace.h.shape)
@@ -351,13 +455,16 @@ def lstm_backward(p: LstmParams, trace: LstmTrace, dh=None, dc=None
     gW_c = np.empty((3 * n, n))
     np.matmul(A[:2 * n], C[:, :T * B].T, out=gW_c[:2 * n])
     np.matmul(A[3 * n:], C[:, B:].T, out=gW_c[2 * n:])
+    dx = None
     if p.W_x.ndim == 3:
         steps = dA.transpose(1, 0, 2)
         gW_x = np.matmul(steps, trace.x.transpose(0, 2, 1))
-        dx = np.matmul(p.W_x.swapaxes(-1, -2), steps)
+        if need_dx:
+            dx = np.matmul(p.W_x.swapaxes(-1, -2), steps)
     else:
         gW_x = A @ _columns(trace.x).T
-        dx = (p.W_x.T @ A).reshape(-1, T, B).transpose(1, 0, 2)
+        if need_dx:
+            dx = (p.W_x.T @ A).reshape(-1, T, B).transpose(1, 0, 2)
     grads = LstmParams(W_x=gW_x, W_h=A @ H.T, W_c=gW_c, b=A.sum(axis=1))
     return grads, dx
 
@@ -377,21 +484,27 @@ def blstm_forward(p: BlstmParams, x: np.ndarray, lengths=None
     """Both directions from zero state over a (T, k, B) stack plus the
     learned (T, d, B) combination of their hidden (or cell) sequences.
     ``lengths`` packs sequences as in ``lstm_forward``; the backward
-    direction then reads each column from its own last step."""
+    direction then reads each column from its own last step.  The two
+    directions run as two tasks when ``worth_a_task``."""
     xs = _to_steps(x)
     lengths = _check_lengths(lengths, xs.shape[0], xs.shape[2])
-    fwd_trace = lstm_forward(p.fwd, xs, lengths)
-    bwd_trace = lstm_forward(p.bwd, _reverse(xs, lengths), lengths)
+    fwd_trace, bwd_trace = run_tasks([
+        lambda: lstm_forward(p.fwd, xs, lengths),
+        lambda: lstm_forward(p.bwd, _reverse(xs, lengths), lengths)],
+        worth_a_task(p.fwd, xs.shape[2]))
     s_f, s_b = _blstm_states(p, fwd_trace, bwd_trace)
     y = np.matmul(p.W_fy, s_f) + np.matmul(p.W_by, s_b) + p.b_y[None, :, None]
     return y, fwd_trace, bwd_trace
 
 
 def blstm_backward(p: BlstmParams, fwd_trace: LstmTrace, bwd_trace: LstmTrace,
-                   dy: np.ndarray) -> tuple[BlstmParams, np.ndarray]:
+                   dy: np.ndarray, need_dx: bool = True
+                   ) -> tuple[BlstmParams, np.ndarray | None]:
     """Gradients through the combination and both recurrences, given the
     (T, d, B) upstream gradient of the combined output (zero past each
-    column's length in a packed run)."""
+    column's length in a packed run).  The input gradient is None when
+    ``need_dx`` is false.  The two directions run as two tasks when
+    ``worth_a_task``."""
     T, _, B = fwd_trace.h.shape
     dy = _upstream(dy, (T, p.out_dim, B))
     if dy is None:
@@ -406,9 +519,11 @@ def blstm_backward(p: BlstmParams, fwd_trace: LstmTrace, bwd_trace: LstmTrace,
     dS_b = _reverse(np.matmul(p.W_by.T, dy), lengths)
 
     key = "dh" if p.source == "hidden" else "dc"
-    g_f, dx_f = lstm_backward(p.fwd, fwd_trace, **{key: dS_f})
-    g_b, dx_b = lstm_backward(p.bwd, bwd_trace, **{key: dS_b})
-    dxs = dx_f + _reverse(dx_b, lengths)
+    (g_f, dx_f), (g_b, dx_b) = run_tasks([
+        lambda: lstm_backward(p.fwd, fwd_trace, **{key: dS_f}, need_dx=need_dx),
+        lambda: lstm_backward(p.bwd, bwd_trace, **{key: dS_b}, need_dx=need_dx)],
+        worth_a_task(p.fwd, B))
+    dxs = dx_f + _reverse(dx_b, lengths) if need_dx else None
 
     grads = BlstmParams(fwd=g_f, bwd=g_b, W_fy=gW_fy, W_by=gW_by, b_y=gb_y,
                         source=p.source)

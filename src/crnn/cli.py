@@ -193,10 +193,9 @@ def _cmd_extract(args) -> int:
     for i, (wav, label, group) in enumerate(entries):
         samples, rate = read_wav(wav)
         try:
-            mel = MelConfig(sample_rate=rate)
-        except ValueError as e:
-            raise DataError(f"{wav}: {e}") from None
-        feats = log_mel(samples, mel)
+            feats = log_mel(samples, MelConfig(sample_rate=rate))
+        except (ValueError, DataError) as e:
+            raise DataError(f"{args.data}: {wav}: {e}") from None
         name = f"mel{i:06d}.txt"
         write_features(out / name, feats)
         lines.append(f"{name}\t{label}\t{group}")

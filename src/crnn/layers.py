@@ -13,7 +13,10 @@ one clip), and their outputs leave the same way, each clip's output
 column count recorded on the trace.  Because every window starts from
 zero state, the windows of all clips run through the extractor as one
 batch; reduction and pooling then work on each clip's own column range
-through index arrays, never across a clip boundary.
+through index arrays, never across a clip boundary.  The clstm kinds cut
+that batch into two column halves that run as two tasks once a half is
+work enough for a thread (``cells.worth_a_task``); the cut depends on
+the window count and the layer's sizes alone.
 
 Extractor kinds:
 
@@ -36,6 +39,7 @@ the bottom of the module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -50,6 +54,8 @@ from .cells import (
     init_lstm,
     lstm_backward,
     lstm_forward,
+    run_tasks,
+    worth_a_task,
 )
 from .framing import (
     WindowSpec,
@@ -59,7 +65,7 @@ from .framing import (
     stack_windows,
     window_count,
 )
-from .numerics import ACTIVATIONS, Rng, init_params, relu
+from .numerics import ACTIVATIONS, Rng, init_params, named_arrays, relu
 
 KINDS = ("conv", "clstm", "extended_clstm", "cblstm")
 SOURCES = ("hidden", "cell", "output")
@@ -162,7 +168,8 @@ class LayerTrace:
     prepool: np.ndarray | None = None    # (n, W) features before pooling
     out_lengths: np.ndarray | None = None  # output column count of each clip
     conv_preact: np.ndarray | None = None
-    cell_trace: LstmTrace | None = None
+    # cblstm: the forward direction; clstm kinds: a list, one per column block
+    cell_trace: LstmTrace | list[LstmTrace] | None = None
     bwd_trace: LstmTrace | None = None   # cblstm only
     time_argmax: np.ndarray | None = None
     pool_argmax: np.ndarray | None = None
@@ -199,6 +206,42 @@ def _check_fill(counts: np.ndarray, sizes, what: str, spec: WindowSpec, unit: st
             f"{sizes[short[0]]} {unit} cannot fill a {what} of width {spec.width}")
 
 
+def _column_blocks(p: LstmParams, count: int) -> list[slice]:
+    """A clstm window batch's column blocks: halves when a half is worth a
+    task, else one block."""
+    if count < 2 or not worth_a_task(p, count // 2):
+        return [slice(0, count)]
+    return [slice(0, count // 2), slice(count // 2, count)]
+
+
+def _clstm_block_forward(config: CrnnLayerConfig, params: ClstmParams, xw: np.ndarray):
+    """Run the LSTM over one column block of windows; returns its trace,
+    the reduced features and the reduction's argmax."""
+    tr = lstm_forward(params.lstm, xw)
+    if config.source == "hidden":
+        seq = tr.h
+    elif config.source == "cell":
+        seq = tr.c
+    else:
+        seq = np.matmul(params.proj.W, tr.h) + params.proj.b[None, :, None]
+    return (tr, *_reduce(seq, config.reduction))
+
+
+def _clstm_block_backward(config: CrnnLayerConfig, params: ClstmParams, tr: LstmTrace,
+                          dfeats: np.ndarray, amax: np.ndarray | None, need_dx: bool):
+    """Gradients through one column block: (ClstmParams bundle, the block's
+    (width, k, cols) window gradient or None)."""
+    dseq = _reduce_backward(dfeats, config.reduction, len(tr.x), amax)
+    proj_grads = None
+    if config.source == "output":
+        proj_grads = OutputProj(W=np.tensordot(dseq, tr.h, axes=([0, 2], [0, 2])),
+                                b=dseq.sum(axis=(0, 2)))
+        dseq = np.matmul(params.proj.W.T, dseq)
+    key = "dc" if config.source == "cell" else "dh"
+    lstm_grads, dxw = lstm_backward(params.lstm, tr, **{key: dseq}, need_dx=need_dx)
+    return ClstmParams(lstm=lstm_grads, proj=proj_grads), dxw
+
+
 def layer_forward(config: CrnnLayerConfig, params, x: np.ndarray,
                   lengths=None) -> tuple[np.ndarray, LayerTrace]:
     """Apply one layer to a k-by-l sequence, or to clips of ``lengths``
@@ -218,15 +261,13 @@ def layer_forward(config: CrnnLayerConfig, params, x: np.ndarray,
         y, trace.cell_trace, trace.bwd_trace = blstm_forward(params, xw)
         feats, trace.time_argmax = _reduce(y, config.reduction)
     else:
-        tr = lstm_forward(params.lstm, xw)
-        trace.cell_trace = tr
-        if config.source == "hidden":
-            seq = tr.h
-        elif config.source == "cell":
-            seq = tr.c
-        else:
-            seq = np.matmul(params.proj.W, tr.h) + params.proj.b[None, :, None]
-        feats, trace.time_argmax = _reduce(seq, config.reduction)
+        blocks = run_tasks([partial(_clstm_block_forward, config, params, xw[:, :, cols])
+                            for cols in _column_blocks(params.lstm, xw.shape[2])])
+        traces, feats, amax = zip(*blocks)
+        trace.cell_trace = list(traces)
+        feats = np.concatenate(feats, axis=1)
+        if amax[0] is not None:
+            trace.time_argmax = np.concatenate(amax, axis=1)
 
     trace.prepool = feats
     if config.pool is not None:
@@ -239,11 +280,12 @@ def layer_forward(config: CrnnLayerConfig, params, x: np.ndarray,
 
 
 def layer_backward(config: CrnnLayerConfig, params, trace: LayerTrace,
-                   dout: np.ndarray) -> tuple[object, np.ndarray]:
+                   dout: np.ndarray, need_dx: bool = True) -> tuple[object, np.ndarray | None]:
     """Gradients of a scalar loss through one layer.
 
     ``dout`` matches the layer output; returns (parameter gradients shaped
-    like ``params``, gradient w.r.t. the layer input, shaped like it).
+    like ``params``, gradient w.r.t. the layer input, shaped like it, or
+    None when ``need_dx`` is false).
     """
     dfeats = np.asarray(dout, dtype=np.float64)
     if config.pool is not None:
@@ -262,23 +304,27 @@ def layer_backward(config: CrnnLayerConfig, params, trace: LayerTrace,
             dz = dfeats * (trace.conv_preact > 0.0)
         gw = np.tensordot(dz, xw, axes=([1], [2])).transpose(0, 2, 1)
         grads = ConvParams(weights=gw, biases=dz.sum(axis=1))
-        dxw = np.tensordot(params.weights, dz, axes=([0], [0])).transpose(1, 0, 2)
+        dxw = (np.tensordot(params.weights, dz, axes=([0], [0])).transpose(1, 0, 2)
+               if need_dx else None)
     elif config.kind == "cblstm":
         dseq = _reduce_backward(dfeats, config.reduction, steps, trace.time_argmax)
-        grads, dxw = blstm_backward(params, trace.cell_trace, trace.bwd_trace, dseq)
+        grads, dxw = blstm_backward(params, trace.cell_trace, trace.bwd_trace, dseq,
+                                    need_dx=need_dx)
     else:
-        dseq = _reduce_backward(dfeats, config.reduction, steps, trace.time_argmax)
-        proj_grads = None
-        if config.source == "output":
-            proj_grads = OutputProj(
-                W=np.tensordot(dseq, trace.cell_trace.h, axes=([0, 2], [0, 2])),
-                b=dseq.sum(axis=(0, 2)))
-            dseq = np.matmul(params.proj.W.T, dseq)
-        key = "dc" if config.source == "cell" else "dh"
-        lstm_grads, dxw = lstm_backward(params.lstm, trace.cell_trace, **{key: dseq})
-        grads = ClstmParams(lstm=lstm_grads, proj=proj_grads)
+        # the blocks forward ran, read back from their traces
+        ends = np.cumsum([tr.x.shape[2] for tr in trace.cell_trace])
+        amax = trace.time_argmax
+        blocks = run_tasks([
+            partial(_clstm_block_backward, config, params, tr, dfeats[:, start:end],
+                    None if amax is None else amax[:, start:end], need_dx)
+            for tr, start, end in zip(trace.cell_trace, [0, *ends[:-1]], ends)])
+        grads = blocks[0][0]
+        for part, _ in blocks[1:]:
+            for (_, total), (_, add) in zip(named_arrays(grads), named_arrays(part)):
+                total += add
+        dxw = np.concatenate([d for _, d in blocks], axis=2) if need_dx else None
 
-    return grads, scatter_windows_add(dxw, config.window, trace.lengths)
+    return grads, scatter_windows_add(dxw, config.window, trace.lengths) if need_dx else None
 
 
 # ---------------------------------------------------------------------------

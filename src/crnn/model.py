@@ -225,12 +225,15 @@ def model_forward(config: ModelConfig, params: ModelParams, x
 
 
 def model_backward(config: ModelConfig, params: ModelParams, trace: ModelTrace,
-                   dprobs_mean: np.ndarray) -> tuple[ModelParams, np.ndarray | list]:
+                   dprobs_mean: np.ndarray, need_dx: bool = True
+                   ) -> tuple[ModelParams, np.ndarray | list | None]:
     """Gradients of a scalar loss given d(loss)/d(averaged distribution),
     shaped like the ``model_forward`` result.
 
     Returns parameter gradients shaped like ``params`` and the gradient
-    with respect to the model input (one array per clip for a list).
+    with respect to the model input (one array per clip for a list), or
+    None for it when ``need_dx`` is false; the first feature layer (or the
+    head, without layers) then skips forming it.
     """
     probs = trace.probs
     dmean = np.asarray(dprobs_mean, float).reshape(len(probs), -1) / trace.avg_counts
@@ -242,26 +245,29 @@ def model_backward(config: ModelConfig, params: ModelParams, trace: ModelTrace,
     dacts = params.softmax.W.T @ dlogits
 
     T, _, B = trace.cls_trace.h.shape
+    head_dx = need_dx or bool(params.layers)
     if config.classifier == "lstm":
         g_dense, dhidden = dense_backward(params.dense, trace.hidden,
                                           trace.dense_pre, dacts)
         g_cls, dseq = lstm_backward(params.classifier, trace.cls_trace,
-                                    dh=_pack(dhidden, trace.cols, (T, len(dhidden), B)))
+                                    dh=_pack(dhidden, trace.cols, (T, len(dhidden), B)),
+                                    need_dx=head_dx)
     else:
         g_dense = None
         dy = _pack(dacts * (trace.dense_pre > 0.0), trace.cols, (T, len(dacts), B))
         g_cls, dseq = blstm_backward(params.classifier, trace.cls_trace,
-                                     trace.cls_bwd_trace, dy)
-    dx = _unpack(dseq, trace.cols)
+                                     trace.cls_bwd_trace, dy, need_dx=head_dx)
+    dx = _unpack(dseq, trace.cols) if head_dx else None
 
     g_layers = [None] * len(params.layers)
     for i in reversed(range(len(params.layers))):
         g_layers[i], dx = layer_backward(config.layers[i], params.layers[i],
-                                         trace.layer_traces[i], dx)
+                                         trace.layer_traces[i], dx,
+                                         need_dx=need_dx or i > 0)
 
     grads = ModelParams(layers=g_layers, classifier=g_cls, dense=g_dense,
                         softmax=g_softmax)
-    if trace.single:
+    if not need_dx or trace.single:
         return grads, dx
     # the input frame counts: the first layer's, or the head's without layers
     lengths = trace.layer_traces[0].lengths if trace.layer_traces else trace.steps

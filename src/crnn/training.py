@@ -66,7 +66,7 @@ def loss_gradients(config: ModelConfig, params: ModelParams, x,
     dprobs_mean = np.zeros_like(probs_mean)
     np.put_along_axis(dprobs_mean, labels,
                       -1.0 / np.take_along_axis(probs_mean, labels, axis=0), axis=0)
-    grads, _ = model_backward(config, params, trace, dprobs_mean)
+    grads, _ = model_backward(config, params, trace, dprobs_mean, need_dx=False)
     return loss, grads
 
 

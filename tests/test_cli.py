@@ -239,6 +239,16 @@ class TestExtractFeatures:
                          "--out", str(tmp_path / "o")]) == 3
         assert "error: data:" in capsys.readouterr().err
 
+    def test_too_short_wav_names_manifest_and_wav(self, tmp_path, capsys):
+        write_wav(tmp_path / "short.wav", np.zeros(100), 16000)
+        manifest = tmp_path / "audio.tsv"
+        manifest.write_text("short.wav\t0\tg\n")
+        assert cli.main(["extract-features", "--data", str(manifest),
+                         "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: {manifest}: {tmp_path / 'short.wav'}: "
+                              f"100 samples is shorter than one 400-sample window")
+
     def test_bad_wav_is_data_error(self, tmp_path, capsys):
         (tmp_path / "junk.wav").write_bytes(b"not really a wav file at all")
         manifest = tmp_path / "audio.tsv"

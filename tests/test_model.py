@@ -9,11 +9,12 @@ from crnn.model import (
     emotion_model_config,
     init_model,
     min_sequence_length,
+    model_backward,
     model_forward,
     predict,
     predict_proba,
 )
-from crnn.numerics import Rng, ShapeError, param_count
+from crnn.numerics import Rng, ShapeError, named_arrays, param_count
 
 from fdtools import TOL, model_ce_check
 
@@ -170,6 +171,26 @@ class TestGradients:
     def test_two_layer_stack_fd(self):
         c = tiny_config(layers=2)
         assert model_ce_check(c, seed=2, extra_frames=2) < TOL
+
+    @pytest.mark.parametrize("classifier", ["lstm", "blstm"])
+    @pytest.mark.parametrize("kind", ["conv", "clstm", "extended_clstm", "cblstm", None])
+    def test_skipping_input_gradient_keeps_parameter_gradients(self, kind, classifier):
+        layers = () if kind is None else (
+            CrnnLayerConfig(kind=kind, features=3, window=WindowSpec(3, 2),
+                            source="cell", reduction="max"),) * 2
+        c = ModelConfig(input_dim=2, num_classes=3, layers=layers, classifier=classifier,
+                        classifier_dim=3, dense_dim=4)
+        params = init_model(c, Rng(4))
+        rng = Rng(5)
+        clips = [rng.normal(0, 1, (2, l)) for l in (11, 9, 15)]
+        _, trace = model_forward(c, params, clips)
+        dprobs = rng.normal(0, 1, (3, 3))
+        full, dx = model_backward(c, params, trace, dprobs)
+        assert len(dx) == 3
+        skipped, none = model_backward(c, params, trace, dprobs, need_dx=False)
+        assert none is None
+        for (name, a), (_, b) in zip(named_arrays(full), named_arrays(skipped)):
+            assert a.tobytes() == b.tobytes(), name
 
 
 class TestPresets:
