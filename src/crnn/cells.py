@@ -47,13 +47,14 @@ keeps the gate gradients as (4n, T*B) columns and forms each weight
 gradient as one GEMM after the time loop; accumulating them step by step
 inside the loop is slower at the narrow head batches.
 
-Work that splits into independent parts, such as a BLSTM's two
-directions, goes through ``run_tasks``, which runs the parts side by side
-on up to ``set_workers`` threads.  numpy releases the interpreter lock
-inside BLAS calls and large ufunc loops, so the threads overlap there
-while BLAS itself stays single-threaded.  Each part's arithmetic is fixed
-by the data alone, so the worker count never changes a result.  Small
-LSTMs stay on one thread (``worth_a_task``).
+``run_tasks`` runs independent thunks side by side on up to
+``set_workers`` threads.  Its one caller, ``layers``, hands it the two
+column halves of a recurrent layer's window batch; the cells themselves,
+the BLSTM's two directions included, always run on the calling thread.
+numpy releases the interpreter lock inside BLAS calls and large ufunc
+loops, so the threads overlap there while BLAS itself stays
+single-threaded.  Where the work splits is fixed by the data alone, so
+the worker count never changes a result.
 """
 
 from __future__ import annotations
@@ -145,24 +146,9 @@ def _default_workers() -> int:
     return min(cpus, 2)
 
 
-# Multiply-adds in one step of an LSTM, B * n * (n + k), from which it runs
-# as a task beside another.  The threads overlap only inside BLAS calls; at
-# every other numpy call they pass the interpreter lock back and forth, and
-# each pass wakes the other thread.  A step below this holds the lock for
-# much of its time: split, the age/gender BLSTM-256 head over 1-8 clips
-# (9e4-7e5) ran 1.7x faster on an idle host, but its threads woke each
-# other about 3500 times a second, so on a busy shared host, where a
-# wake-up waits for the other vCPU, it fell to one thread's speed or
-# below and the age/gender rates varied up to 3x from run to run.  From
-# here up (clstm and cblstm window batches, 1e6-7e7) the threads wake each
-# other under 350 times a second and two tasks ran at 1.2-1.8x.  Tiny
-# LSTMs (n <= 32 over hundreds of columns) ran at 0.4-0.98x.
-_TASK_MIN_MACS = 1_000_000
-
 _workers = _default_workers()
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
-_task = threading.local()
 
 
 def set_workers(n: int | None = None) -> None:
@@ -186,36 +172,21 @@ def _helpers() -> ThreadPoolExecutor:
         return _pool
 
 
-def _in_task(thunk):
-    _task.inside = True
-    try:
-        return thunk()
-    finally:
-        _task.inside = False
-
-
-def worth_a_task(p: LstmParams, cols: int) -> bool:
-    """Whether running ``p`` over ``cols`` columns is work enough to go to
-    a thread of its own (see ``_TASK_MIN_MACS``)."""
-    return cols * p.n * (p.n + p.input_dim) >= _TASK_MIN_MACS
-
-
-def run_tasks(thunks, worth: bool = True) -> list:
+def run_tasks(thunks) -> list:
     """Call each of the independent zero-argument ``thunks`` and return
     their results in order.  The first runs on the calling thread and the
     rest on the helper pool, but the caller takes back any that no helper
     has started by the time its own is done, so a helper slow to get a CPU
-    costs no more than running in turn; an exception in any reaches the
-    caller unchanged.  They run in turn on the caller when ``worth`` is
-    false, and in a call from inside a task, since that task may hold the
-    only helper thread."""
+    costs no more than running in turn, and a call made from inside a task
+    finishes even when that task holds the only helper.  An exception in
+    any reaches the caller unchanged."""
     thunks = list(thunks)
-    if not worth or _workers < 2 or len(thunks) < 2 or getattr(_task, "inside", False):
+    if _workers < 2 or len(thunks) < 2:
         return [thunk() for thunk in thunks]
-    futures = [_helpers().submit(_in_task, thunk) for thunk in thunks[1:]]
+    futures = [_helpers().submit(thunk) for thunk in thunks[1:]]
     try:
-        first = _in_task(thunks[0])
-        rest = [_in_task(thunk) if f.cancel() else f.result()
+        first = thunks[0]()
+        rest = [thunk() if f.cancel() else f.result()
                 for f, thunk in zip(futures, thunks[1:])]
     finally:
         # no task outlives the call, even when one failed; a cancelled one
@@ -484,14 +455,11 @@ def blstm_forward(p: BlstmParams, x: np.ndarray, lengths=None
     """Both directions from zero state over a (T, k, B) stack plus the
     learned (T, d, B) combination of their hidden (or cell) sequences.
     ``lengths`` packs sequences as in ``lstm_forward``; the backward
-    direction then reads each column from its own last step.  The two
-    directions run as two tasks when ``worth_a_task``."""
+    direction then reads each column from its own last step."""
     xs = _to_steps(x)
     lengths = _check_lengths(lengths, xs.shape[0], xs.shape[2])
-    fwd_trace, bwd_trace = run_tasks([
-        lambda: lstm_forward(p.fwd, xs, lengths),
-        lambda: lstm_forward(p.bwd, _reverse(xs, lengths), lengths)],
-        worth_a_task(p.fwd, xs.shape[2]))
+    fwd_trace = lstm_forward(p.fwd, xs, lengths)
+    bwd_trace = lstm_forward(p.bwd, _reverse(xs, lengths), lengths)
     s_f, s_b = _blstm_states(p, fwd_trace, bwd_trace)
     y = np.matmul(p.W_fy, s_f) + np.matmul(p.W_by, s_b) + p.b_y[None, :, None]
     return y, fwd_trace, bwd_trace
@@ -503,8 +471,7 @@ def blstm_backward(p: BlstmParams, fwd_trace: LstmTrace, bwd_trace: LstmTrace,
     """Gradients through the combination and both recurrences, given the
     (T, d, B) upstream gradient of the combined output (zero past each
     column's length in a packed run).  The input gradient is None when
-    ``need_dx`` is false.  The two directions run as two tasks when
-    ``worth_a_task``."""
+    ``need_dx`` is false."""
     T, _, B = fwd_trace.h.shape
     dy = _upstream(dy, (T, p.out_dim, B))
     if dy is None:
@@ -519,10 +486,8 @@ def blstm_backward(p: BlstmParams, fwd_trace: LstmTrace, bwd_trace: LstmTrace,
     dS_b = _reverse(np.matmul(p.W_by.T, dy), lengths)
 
     key = "dh" if p.source == "hidden" else "dc"
-    (g_f, dx_f), (g_b, dx_b) = run_tasks([
-        lambda: lstm_backward(p.fwd, fwd_trace, **{key: dS_f}, need_dx=need_dx),
-        lambda: lstm_backward(p.bwd, bwd_trace, **{key: dS_b}, need_dx=need_dx)],
-        worth_a_task(p.fwd, B))
+    g_f, dx_f = lstm_backward(p.fwd, fwd_trace, **{key: dS_f}, need_dx=need_dx)
+    g_b, dx_b = lstm_backward(p.bwd, bwd_trace, **{key: dS_b}, need_dx=need_dx)
     dxs = dx_f + _reverse(dx_b, lengths) if need_dx else None
 
     grads = BlstmParams(fwd=g_f, bwd=g_b, W_fy=gW_fy, W_by=gW_by, b_y=gb_y,

@@ -13,10 +13,12 @@ one clip), and their outputs leave the same way, each clip's output
 column count recorded on the trace.  Because every window starts from
 zero state, the windows of all clips run through the extractor as one
 batch; reduction and pooling then work on each clip's own column range
-through index arrays, never across a clip boundary.  The clstm kinds cut
-that batch into two column halves that run as two tasks once a half is
-work enough for a thread (``cells.worth_a_task``); the cut depends on
-the window count and the layer's sizes alone.
+through index arrays, never across a clip boundary.  One rule spreads
+the work over threads (``_column_blocks``): a recurrent layer's window
+batch runs as two column halves, two tasks on ``cells.run_tasks``, once
+one step of a half's LSTM is ``_TASK_MIN_MACS`` multiply-adds or more,
+and as one block below that.  The cut depends on the window count and
+the layer's sizes alone, never on the thread count.
 
 Extractor kinds:
 
@@ -44,9 +46,7 @@ from functools import partial
 import numpy as np
 
 from .cells import (
-    BlstmParams,
     LstmParams,
-    LstmTrace,
     blstm_backward,
     blstm_forward,
     init_blstm,
@@ -55,7 +55,6 @@ from .cells import (
     lstm_backward,
     lstm_forward,
     run_tasks,
-    worth_a_task,
 )
 from .framing import (
     WindowSpec,
@@ -168,9 +167,9 @@ class LayerTrace:
     prepool: np.ndarray | None = None    # (n, W) features before pooling
     out_lengths: np.ndarray | None = None  # output column count of each clip
     conv_preact: np.ndarray | None = None
-    # cblstm: the forward direction; clstm kinds: a list, one per column block
-    cell_trace: LstmTrace | list[LstmTrace] | None = None
-    bwd_trace: LstmTrace | None = None   # cblstm only
+    blocks: list[slice] | None = None    # recurrent kinds: the column blocks run
+    # one per block: an LstmTrace, or the (forward, backward) pair for cblstm
+    cell_trace: list | None = None
     time_argmax: np.ndarray | None = None
     pool_argmax: np.ndarray | None = None
 
@@ -206,17 +205,39 @@ def _check_fill(counts: np.ndarray, sizes, what: str, spec: WindowSpec, unit: st
             f"{sizes[short[0]]} {unit} cannot fill a {what} of width {spec.width}")
 
 
+# Multiply-adds in one step of a column block's LSTM, cols * n * (n + k),
+# from which a recurrent layer's window batch runs as two halves on two
+# threads.  The threads overlap only inside BLAS calls; at every other
+# numpy call they pass the interpreter lock back and forth, and each pass
+# wakes the other thread.  A step below this holds the lock for much of
+# its time: split, the age/gender BLSTM-256 head over 1-8 clips (9e4-7e5)
+# ran 1.7x faster on an idle host, but its threads woke each other about
+# 3500 times a second, so on a busy shared host, where a wake-up waits for
+# the other vCPU, it fell to one thread's speed or below.  From here up
+# (clstm and cblstm window batches, 1e6-7e7) the threads wake each other
+# under 350 times a second and two tasks ran at 1.2-1.8x.  Tiny LSTMs
+# (n <= 32 over hundreds of columns) ran at 0.4-0.98x.  The heads never
+# split: they are not window batches, and all stay below this.
+_TASK_MIN_MACS = 1_000_000
+
+
 def _column_blocks(p: LstmParams, count: int) -> list[slice]:
-    """A clstm window batch's column blocks: halves when a half is worth a
-    task, else one block."""
-    if count < 2 or not worth_a_task(p, count // 2):
+    """A recurrent layer's column blocks over ``count`` windows: halves
+    when one step of ``p`` over a half reaches ``_TASK_MIN_MACS``, else
+    one block (for cblstm, ``p`` is the forward direction)."""
+    half = count // 2
+    if half * p.n * (p.n + p.input_dim) < _TASK_MIN_MACS:
         return [slice(0, count)]
-    return [slice(0, count // 2), slice(count // 2, count)]
+    return [slice(0, half), slice(half, count)]
 
 
-def _clstm_block_forward(config: CrnnLayerConfig, params: ClstmParams, xw: np.ndarray):
-    """Run the LSTM over one column block of windows; returns its trace,
-    the reduced features and the reduction's argmax."""
+def _block_forward(config: CrnnLayerConfig, params, xw: np.ndarray):
+    """Run the recurrent extractor over one column block of windows;
+    returns its trace (the direction pair for cblstm), the reduced
+    features and the reduction's argmax."""
+    if config.kind == "cblstm":
+        y, fwd, bwd = blstm_forward(params, xw)
+        return ((fwd, bwd), *_reduce(y, config.reduction))
     tr = lstm_forward(params.lstm, xw)
     if config.source == "hidden":
         seq = tr.h
@@ -227,11 +248,13 @@ def _clstm_block_forward(config: CrnnLayerConfig, params: ClstmParams, xw: np.nd
     return (tr, *_reduce(seq, config.reduction))
 
 
-def _clstm_block_backward(config: CrnnLayerConfig, params: ClstmParams, tr: LstmTrace,
-                          dfeats: np.ndarray, amax: np.ndarray | None, need_dx: bool):
-    """Gradients through one column block: (ClstmParams bundle, the block's
-    (width, k, cols) window gradient or None)."""
-    dseq = _reduce_backward(dfeats, config.reduction, len(tr.x), amax)
+def _block_backward(config: CrnnLayerConfig, params, tr, dfeats: np.ndarray,
+                    amax: np.ndarray | None, need_dx: bool):
+    """Gradients through one column block: (a bundle shaped like
+    ``params``, the block's (width, k, cols) window gradient or None)."""
+    dseq = _reduce_backward(dfeats, config.reduction, config.window.width, amax)
+    if config.kind == "cblstm":
+        return blstm_backward(params, *tr, dseq, need_dx=need_dx)
     proj_grads = None
     if config.source == "output":
         proj_grads = OutputProj(W=np.tensordot(dseq, tr.h, axes=([0, 2], [0, 2])),
@@ -257,13 +280,11 @@ def layer_forward(config: CrnnLayerConfig, params, x: np.ndarray,
         z = np.tensordot(params.weights, xw, axes=([1, 2], [1, 0])) + params.biases[:, None]
         trace.conv_preact = z
         feats = ACTIVATIONS[config.activation](z)
-    elif config.kind == "cblstm":
-        y, trace.cell_trace, trace.bwd_trace = blstm_forward(params, xw)
-        feats, trace.time_argmax = _reduce(y, config.reduction)
     else:
-        blocks = run_tasks([partial(_clstm_block_forward, config, params, xw[:, :, cols])
-                            for cols in _column_blocks(params.lstm, xw.shape[2])])
-        traces, feats, amax = zip(*blocks)
+        lstm = params.fwd if config.kind == "cblstm" else params.lstm
+        trace.blocks = _column_blocks(lstm, xw.shape[2])
+        traces, feats, amax = zip(*run_tasks(
+            [partial(_block_forward, config, params, xw[:, :, cols]) for cols in trace.blocks]))
         trace.cell_trace = list(traces)
         feats = np.concatenate(feats, axis=1)
         if amax[0] is not None:
@@ -292,7 +313,6 @@ def layer_backward(config: CrnnLayerConfig, params, trace: LayerTrace,
         dfeats = max_pool_backward(trace.pool_argmax, dfeats, trace.prepool.shape[1])
 
     xw = trace.windows
-    steps = xw.shape[0]
     if config.kind == "conv":
         f = trace.prepool
         act = config.activation
@@ -306,18 +326,12 @@ def layer_backward(config: CrnnLayerConfig, params, trace: LayerTrace,
         grads = ConvParams(weights=gw, biases=dz.sum(axis=1))
         dxw = (np.tensordot(params.weights, dz, axes=([0], [0])).transpose(1, 0, 2)
                if need_dx else None)
-    elif config.kind == "cblstm":
-        dseq = _reduce_backward(dfeats, config.reduction, steps, trace.time_argmax)
-        grads, dxw = blstm_backward(params, trace.cell_trace, trace.bwd_trace, dseq,
-                                    need_dx=need_dx)
     else:
-        # the blocks forward ran, read back from their traces
-        ends = np.cumsum([tr.x.shape[2] for tr in trace.cell_trace])
         amax = trace.time_argmax
         blocks = run_tasks([
-            partial(_clstm_block_backward, config, params, tr, dfeats[:, start:end],
-                    None if amax is None else amax[:, start:end], need_dx)
-            for tr, start, end in zip(trace.cell_trace, [0, *ends[:-1]], ends)])
+            partial(_block_backward, config, params, tr, dfeats[:, cols],
+                    None if amax is None else amax[:, cols], need_dx)
+            for tr, cols in zip(trace.cell_trace, trace.blocks)])
         grads = blocks[0][0]
         for part, _ in blocks[1:]:
             for (_, total), (_, add) in zip(named_arrays(grads), named_arrays(part)):

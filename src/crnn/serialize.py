@@ -20,6 +20,7 @@ one, never a partly written one.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -93,10 +94,14 @@ def read_tensors(path) -> dict[str, np.ndarray]:
 
     for _ in range(count):
         (nlen,) = struct.unpack("<H", need(2))
-        name = need(nlen).decode("utf-8")
+        try:
+            name = need(nlen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ModelFileError(f"{path}: tensor name is not UTF-8") from None
         (ndim,) = struct.unpack("<B", need(1))
         shape = struct.unpack(f"<{ndim}I", need(4 * ndim))
-        size = int(np.prod(shape)) if ndim else 1
+        # an exact product: np.prod wraps in int64 on huge dimensions
+        size = math.prod(shape)
         data = np.frombuffer(need(8 * size), dtype="<f8")
         out[name] = data.reshape(shape).copy()
     if pos != len(blob):

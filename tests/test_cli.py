@@ -4,6 +4,7 @@ Everything runs in-process through cli.main(argv) so exit codes and the
 exact bytes of the artifacts can be asserted without spawning a shell.
 """
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -190,6 +191,20 @@ class TestEval:
         assert cli.main(["eval", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: data: ") and "model.bin.cfg" in err and reason in err
+
+    @pytest.mark.parametrize("name, shape, reason", [
+        (b"\xff", (1,), "tensor name is not UTF-8"),
+        # (2**32 - 1)**2 entries wrap to 0 in an int64 product
+        (b"x", (2**32 - 1, 2**32 - 1), "truncated model file")],
+        ids=["non-utf8-name", "int64-wrapping-dims"])
+    def test_damaged_model_file_is_data_error(self, trained, capsys, name, shape, reason):
+        tmp_path, cfg = trained
+        model = tmp_path / "out" / "model.bin"
+        model.write_bytes(b"CRNM" + struct.pack("<IIH", 2, 1, len(name)) + name
+                          + struct.pack(f"<B{len(shape)}I", len(shape), *shape))
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == f"error: data: {model}: {reason}\n"
 
     def test_missing_model_file_is_data_error(self, tmp_path, capsys):
         val_tsv = write_split(tmp_path, "val", 4, seed=2)

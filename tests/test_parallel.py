@@ -1,11 +1,11 @@
-"""The two-task schedule: ``cells.run_tasks``, the BLSTM directions and the
-column halves of the clstm layers.
+"""The two-task schedule: ``cells.run_tasks`` and the column halves of the
+recurrent layers (clstm, extended_clstm and cblstm).
 
 The worker count only schedules work, so every result here must be the
 same at 1 and 2 workers; the column halves change the GEMM widths, so
 they are held to the one-block path by a tolerance of a few ulps.  The
 models here are small, so the tests that need tasks lower
-``cells._TASK_MIN_MACS`` to 1.
+``layers._TASK_MIN_MACS`` to 1.
 """
 import threading
 
@@ -13,14 +13,7 @@ import numpy as np
 import pytest
 
 from crnn import cells, cli, layers
-from crnn.cells import (
-    blstm_backward,
-    blstm_forward,
-    init_blstm,
-    init_lstm,
-    run_tasks,
-    set_workers,
-)
+from crnn.cells import init_lstm, run_tasks, set_workers
 from crnn.framing import WindowSpec, window_count
 from crnn.layers import CrnnLayerConfig, init_layer, layer_backward, layer_forward
 from crnn.numerics import Rng, ShapeError, named_arrays
@@ -36,7 +29,7 @@ def default_workers():
 
 @pytest.fixture()
 def tasks_for_all(monkeypatch):
-    monkeypatch.setattr(cells, "_TASK_MIN_MACS", 1)
+    monkeypatch.setattr(layers, "_TASK_MIN_MACS", 1)
 
 
 def close_to_leaf_max(a, b, tol: float) -> None:
@@ -111,11 +104,6 @@ class TestRunTasks:
         assert not caller.is_alive(), "nested run_tasks deadlocked"
         assert out == [[[("a", 0), ("a", 1)], [("b", 0), ("b", 1)]]]
 
-    def test_not_worth_runs_inline(self):
-        set_workers(2)
-        me = threading.current_thread()
-        assert run_tasks([threading.current_thread] * 2, worth=False) == [me, me]
-
     def test_worker_count_must_be_positive(self):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             set_workers(0)
@@ -127,33 +115,23 @@ def test_only_large_lstms_are_worth_a_task():
     assert len(layers._column_blocks(init_lstm(4, 16, Rng(0)), 80)) == 1
     assert len(layers._column_blocks(init_lstm(26, 100, Rng(0)), 2400)) == 2
     assert len(layers._column_blocks(init_lstm(100, 256, Rng(0)), 1)) == 1
-    assert not cells.worth_a_task(init_lstm(2, 3, Rng(0)), 1000)
-    # the age/gender BLSTM-256 head over up to 8 clips stays on one thread;
-    # its cblstm-100 directions over 1000 windows are two tasks
-    assert not cells.worth_a_task(init_lstm(100, 256, Rng(0)), 8)
-    assert cells.worth_a_task(init_lstm(26, 100, Rng(0)), 1000)
-
-
-def test_blstm_bit_identical_at_one_and_two_workers(tasks_for_all):
-    p = init_blstm(3, 4, 2, Rng(1))
-    x = Rng(2).normal(0, 1, (7, 3, 5))
-    lengths = [7, 6, 6, 3, 1]
-    dy = Rng(3).normal(0, 1, (7, 2, 5))
-    runs = []
-    for workers in (1, 2):
-        set_workers(workers)
-        y, ft, bt = blstm_forward(p, x, lengths)
-        grads, dx = blstm_backward(p, ft, bt, dy)
-        runs.append([y, dx] + [a for _, a in named_arrays(grads)])
-    for a, b in zip(*runs):
-        np.testing.assert_array_equal(a, b)
+    assert len(layers._column_blocks(init_lstm(2, 3, Rng(0)), 2000)) == 1
+    # the rule sits above a step of the age/gender BLSTM-256 head over 8
+    # clips (the heads never split); a cblstm-100 layer over 1000 windows
+    # is halved, by the sizes of its forward direction
+    assert len(layers._column_blocks(init_lstm(100, 256, Rng(0)), 16)) == 1
+    c = CrnnLayerConfig(kind="cblstm", features=100, window=WindowSpec(5, 2))
+    blstm = init_layer(c, 26, Rng(0))
+    assert layers._column_blocks(blstm.fwd, 1000) == [slice(0, 500), slice(500, 1000)]
 
 
 class TestColumnHalves:
     """The halves agree with one block over the whole window batch."""
 
-    @pytest.mark.parametrize("kind", ["clstm", "extended_clstm"])
-    @pytest.mark.parametrize("source", ["hidden", "cell", "output"])
+    @pytest.mark.parametrize("source,kind", [
+        (source, kind) for kind in ("clstm", "extended_clstm", "cblstm")
+        for source in ("hidden", "cell", "output")
+        if not (kind == "cblstm" and source == "output")])
     @pytest.mark.parametrize("reduction", ["last", "mean", "max"])
     def test_split_matches_one_block(self, monkeypatch, tasks_for_all, kind, source,
                                      reduction):
@@ -167,7 +145,7 @@ class TestColumnHalves:
         out, tr = layer_forward(c, params, x, lengths)
         assert len(tr.cell_trace) == 2
         # backward follows the blocks on the trace, not the size rule now
-        monkeypatch.setattr(cells, "_TASK_MIN_MACS", 10**18)
+        monkeypatch.setattr(layers, "_TASK_MIN_MACS", 10**18)
         grads, dx = layer_backward(c, params, tr, dout)
         out1, tr1 = layer_forward(c, params, x, lengths)
         assert len(tr1.cell_trace) == 1
@@ -178,24 +156,26 @@ class TestColumnHalves:
         close_to_leaf_max(dx, dx1, 1e-14)
 
 
-def split_fixture(tmp_path):
+def split_fixture(tmp_path, kind="clstm"):
     """16 training clips of 40 frames, 18 windows each, in one batch."""
     train_tsv = write_split(tmp_path, "train", 16, seed=1, l=40)
     val_tsv = write_split(tmp_path, "val", 8, seed=2, l=40)
     return write_run_config(tmp_path, train_tsv, val_tsv, **{
-        "layer1.window": 5, "layer1.shift": 2, "batch_size": 16, "max_epochs": 2})
+        "layer1.kind": kind, "layer1.window": 5, "layer1.shift": 2, "batch_size": 16,
+        "max_epochs": 2})
 
 
 def test_cli_artifacts_identical_at_one_and_two_workers(tmp_path, tasks_for_all):
-    cfg = split_fixture(tmp_path)
-    blobs = []
-    for workers in (1, 2):
-        set_workers(workers)
-        out = tmp_path / f"w{workers}"
-        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-        blobs.append(((out / "metrics.jsonl").read_bytes(),
-                      (out / "model.bin").read_bytes()))
-    assert blobs[0] == blobs[1]
+    for kind in ("clstm", "cblstm"):
+        cfg = split_fixture(tmp_path, kind)
+        blobs = []
+        for workers in (1, 2):
+            set_workers(workers)
+            out = tmp_path / f"{kind}-w{workers}"
+            assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+            blobs.append(((out / "metrics.jsonl").read_bytes(),
+                          (out / "model.bin").read_bytes()))
+        assert blobs[0] == blobs[1], kind
 
 
 def test_cli_helper_shape_error_exits_4(tmp_path, monkeypatch, capsys, tasks_for_all):
