@@ -57,7 +57,6 @@ from .model import (
     min_sequence_length,
     model_backward,
     model_forward,
-    predict,
     predict_proba,
 )
 from .numerics import Rng, ShapeError, param_count

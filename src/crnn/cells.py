@@ -474,8 +474,6 @@ def blstm_backward(p: BlstmParams, fwd_trace: LstmTrace, bwd_trace: LstmTrace,
     ``need_dx`` is false."""
     T, _, B = fwd_trace.h.shape
     dy = _upstream(dy, (T, p.out_dim, B))
-    if dy is None:
-        dy = np.zeros((T, p.out_dim, B))
     s_f, s_b = _blstm_states(p, fwd_trace, bwd_trace)
     lengths = fwd_trace.lengths
 

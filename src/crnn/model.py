@@ -1,42 +1,41 @@
-"""Whole-model assembly: feature layers, recurrent classifier, prediction.
+"""Whole-model assembly: one chain of stages, run forward and backward.
 
-A model is a stack of zero or more feature layers followed by one of two
-classifier heads:
+The stages, in order:
 
-``lstm``    LSTM over the feature sequence, a ReLU dense layer on each
-            hidden state, then a softmax layer per step.
-``blstm``   bidirectional LSTM whose learned combination of the two
-            hidden sequences *is* the dense layer (output size
-            ``dense_dim``), then ReLU and a softmax layer per step.
+  feature layers   zero or more, each through ``layers.layer_forward``
+  head             LSTM (classifier ``lstm``) or BLSTM (``blstm``) over
+                   the clips, packed longest first
+  ReLU             after a dense layer for the lstm head; the blstm
+                   head's learned combination of its two hidden
+                   sequences *is* its dense layer (output ``dense_dim``)
+  softmax          a class distribution per step
+  average          each clip's mean distribution over all its steps or
+                   the last few; the prediction is its argmax
 
-The per-step class distributions are averaged (over all steps, or only
-the last few) and the prediction is the argmax of the average.  The
-backward pass mirrors the forward exactly and is verified against finite
-differences in the test suite.
+A stage's forward maps ``(params, columns, lengths) -> (columns,
+context)``, and its hand-written backward ``(params, context, d columns,
+need_dx) -> (gradients, d input or None)``, checked against finite
+differences in the test suite.  ``model_forward`` and ``model_backward``
+are one loop each over the stages; the trace holds their contexts.
 
-The input is one k-by-l sequence or a list of k-by-l_j clips of their
-own lengths.  ``model_forward`` lays the clips side by side, clip by
-clip, on the column axis and passes their frame counts as ``lengths`` to
-every layer, so a list runs as one batch through every layer; the input
-gradient is split back into one array per clip only at the end of
-``model_backward``.  The head
-packs the clips longest first into a zero-padded (T, k', B) stack and
-runs, at step t, only the clips still longer than t (the idea behind
-PyTorch's PackedSequence); the dense and softmax layers then see just the
-sum of l_j real steps, as columns side by side, clip by clip.  Averaging
-and everything after it stay per clip.
+The input is one k-by-l sequence or a list of k-by-l_j clips, laid side
+by side on the column axis with their frame counts as ``lengths``, so a
+list runs as one batch through every stage.  The head packs the clips
+into a zero-padded (T, k', B) stack and runs, at step t, only the clips
+still longer than t (the idea behind PyTorch's PackedSequence); the
+stages after it see just the sum of l_j real steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .cells import (
     BlstmParams,
     LstmParams,
-    LstmTrace,
     blstm_backward,
     blstm_forward,
     init_blstm,
@@ -47,7 +46,6 @@ from .cells import (
 from .layers import (
     CrnnLayerConfig,
     DenseParams,
-    LayerTrace,
     dense_backward,
     dense_forward,
     init_dense,
@@ -133,43 +131,16 @@ def min_sequence_length(config: ModelConfig) -> int:
 
 @dataclass
 class ModelTrace:
-    layer_traces: list[LayerTrace] = field(default_factory=list)
-    single: bool = True                     # one sequence in, (C,) out
-    steps: np.ndarray | None = None         # head steps of each clip
-    cols: tuple | None = None               # (step, slot) of each head column
-    cls_trace: LstmTrace | None = None
-    cls_bwd_trace: LstmTrace | None = None  # blstm head only
-    hidden: np.ndarray | None = None        # lstm head: hidden columns (m, M)
-    dense_pre: np.ndarray | None = None     # pre-ReLU activations (dense_dim, M)
-    acts: np.ndarray | None = None          # post-ReLU (dense_dim, M)
-    probs: np.ndarray | None = None         # per-step distributions (C, M)
+    contexts: list = field(default_factory=list)  # one per stage, in order
+    single: bool = True                           # one sequence in, (C,) out
+    lengths: np.ndarray | None = None             # frames of each input clip
     # the steps each clip averages, as a slice of its own steps
     sel: slice = field(default_factory=lambda: slice(None))
-    avg_cols: np.ndarray | None = None      # the columns of probs they are
-    avg_counts: np.ndarray | None = None    # how many of them per clip
-    probs_mean: np.ndarray | None = None
 
-
-def _head_layout(steps: np.ndarray):
-    """Pack clips of ``steps`` head steps longest first: returns their
-    sorted lengths and, for every step of every clip in input order, its
-    step index and its slot in the packed batch."""
-    order = np.argsort(-steps, kind="stable")
-    slot = np.empty_like(order)
-    slot[order] = np.arange(len(order))
-    owner = np.repeat(np.arange(len(steps)), steps)
-    step = np.arange(owner.size) - (np.cumsum(steps) - steps)[owner]
-    return steps[order], (step, slot[owner])
-
-
-def _averaged(sel: slice, steps: np.ndarray, step: np.ndarray):
-    """Columns whose distributions each clip averages, and how many per
-    clip, for ``sel`` = all steps or the last few (fewer if the clip is
-    shorter)."""
-    if sel.start is None:
-        return np.arange(step.size), steps
-    return (np.flatnonzero(step >= np.repeat(steps + sel.start, steps)),
-            np.minimum(steps, -sel.start))
+    @property
+    def probs(self) -> np.ndarray:
+        """Per-step class distributions (C, M), the average's input."""
+        return self.contexts[-1][0]
 
 
 def _unpack(seq: np.ndarray, cols) -> np.ndarray:
@@ -184,44 +155,105 @@ def _pack(columns: np.ndarray, cols, shape) -> np.ndarray:
     return seq
 
 
+def _head_forward(p, x, steps):
+    """Pack the clips longest first and run the LSTM or BLSTM head over
+    them; ``cols`` holds each output column's step and packed slot."""
+    order = np.argsort(-steps, kind="stable")
+    owner = np.repeat(np.arange(len(steps)), steps)
+    cols = (np.arange(owner.size) - (np.cumsum(steps) - steps)[owner], np.argsort(order)[owner])
+    seq = _pack(x, cols, (steps[order[0]], len(x), len(steps)))
+    if isinstance(p, BlstmParams):
+        y, *traces = blstm_forward(p, seq, steps[order])
+    else:
+        traces = [lstm_forward(p, seq, steps[order])]
+        y = traces[0].h
+    return _unpack(y, cols), (cols, traces)
+
+
+def _head_backward(p, ctx, dy, need_dx):
+    cols, traces = ctx
+    T, _, B = traces[0].h.shape
+    dseq = _pack(dy, cols, (T, len(dy), B))
+    if isinstance(p, BlstmParams):
+        grads, dx = blstm_backward(p, *traces, dseq, need_dx=need_dx)
+    else:
+        grads, dx = lstm_backward(p, *traces, dh=dseq, need_dx=need_dx)
+    return grads, _unpack(dx, cols) if need_dx else None
+
+
+def _relu_forward(p, x, steps):
+    """ReLU, after the dense layer if ``p`` is one; the BLSTM head has
+    none, as its combination is the dense layer."""
+    if p is None:
+        return np.maximum(x, 0.0), (x, x)
+    y, z = dense_forward(p, x)
+    return y, (x, z)
+
+
+def _relu_backward(p, ctx, dy, need_dx):
+    x, z = ctx
+    if p is None:
+        return None, dy * (z > 0.0)
+    return dense_backward(p, x, z, dy)
+
+
+def _softmax_forward(p, x, steps):
+    probs = softmax_columns(p.W @ x + p.b[:, None])
+    return probs, (x, probs)
+
+
+def _softmax_backward(p, ctx, dprobs, need_dx):
+    x, probs = ctx
+    dlogits = softmax_backward(probs, dprobs)
+    return DenseParams(W=dlogits @ x.T, b=dlogits.sum(axis=1)), p.W.T @ dlogits
+
+
+def _average_forward(sel, p, probs, steps):
+    """Each clip's mean distribution over ``sel`` = all its steps or the
+    last few (fewer if the clip is shorter)."""
+    cols, counts = np.arange(probs.shape[1]), steps
+    if sel.start is not None:
+        cols = np.flatnonzero(cols >= np.repeat(np.cumsum(steps) + sel.start, steps))
+        counts = np.minimum(steps, -sel.start)
+    starts = np.cumsum(counts) - counts
+    return np.add.reduceat(probs[:, cols], starts, axis=1) / counts, (probs, cols, counts)
+
+
+def _average_backward(p, ctx, dmean, need_dx):
+    probs, cols, counts = ctx
+    dprobs = np.zeros_like(probs)
+    dmean = np.asarray(dmean, float).reshape(len(probs), -1) / counts
+    dprobs[:, cols] = np.repeat(dmean, counts, axis=1)
+    return None, dprobs
+
+
+def _stages(config: ModelConfig, params: ModelParams, sel: slice) -> list[tuple]:
+    """(parameters, forward, backward) of every stage, in order."""
+    layers = [(lp, partial(layer_forward, lc), partial(layer_backward, lc))
+              for lc, lp in zip(config.layers, params.layers)]
+    return layers + [(params.classifier, _head_forward, _head_backward),
+                     (params.dense, _relu_forward, _relu_backward),
+                     (params.softmax, _softmax_forward, _softmax_backward),
+                     (None, partial(_average_forward, sel), _average_backward)]
+
+
 def model_forward(config: ModelConfig, params: ModelParams, x
                   ) -> tuple[np.ndarray, ModelTrace]:
     """Averaged class distribution for one k-by-l sequence (shape (C,)) or
     for each of a list of clips (shape (C, B)), plus the trace the backward
     pass consumes."""
     clips, single = as_clips(x)
-    trace = ModelTrace(single=single)
-    feats = clips[0] if len(clips) == 1 else np.concatenate(clips, axis=1)
-    trace.steps = np.array([c.shape[1] for c in clips])
-    for lc, lp in zip(config.layers, params.layers):
-        feats, ltr = layer_forward(lc, lp, feats, trace.steps)
-        trace.layer_traces.append(ltr)
-        trace.steps = ltr.out_lengths
-    lengths, trace.cols = _head_layout(trace.steps)
-    seq = _pack(feats, trace.cols, (lengths[0], len(feats), len(clips)))
-
-    if config.classifier == "lstm":
-        ctr = lstm_forward(params.classifier, seq, lengths)
-        trace.cls_trace = ctr
-        trace.hidden = _unpack(ctr.h, trace.cols)
-        trace.acts, trace.dense_pre = dense_forward(params.dense, trace.hidden)
-    else:
-        y, trace.cls_trace, trace.cls_bwd_trace = blstm_forward(params.classifier, seq,
-                                                                lengths)
-        trace.dense_pre = _unpack(y, trace.cols)
-        trace.acts = np.maximum(trace.dense_pre, 0.0)
-
-    logits = params.softmax.W @ trace.acts + params.softmax.b[:, None]
-    trace.probs = softmax_columns(logits)
+    trace = ModelTrace(single=single, lengths=np.array([c.shape[1] for c in clips]))
     if config.aggregation == "last":
         trace.sel = slice(-config.aggregation_steps, None)
-    trace.avg_cols, trace.avg_counts = _averaged(trace.sel, trace.steps, trace.cols[0])
-    starts = np.cumsum(trace.avg_counts) - trace.avg_counts
-    trace.probs_mean = (np.add.reduceat(trace.probs[:, trace.avg_cols], starts, axis=1)
-                        / trace.avg_counts)
-    if single:
-        trace.probs_mean = trace.probs_mean[:, 0]
-    return trace.probs_mean, trace
+    columns = clips[0] if len(clips) == 1 else np.concatenate(clips, axis=1)
+    lengths = trace.lengths
+    for p, forward, _ in _stages(config, params, trace.sel):
+        columns, ctx = forward(p, columns, lengths)
+        trace.contexts.append(ctx)
+        # feature layers shorten the clips; the stages after them keep their lengths
+        lengths = getattr(ctx, "out_lengths", lengths)
+    return (columns[:, 0] if single else columns), trace
 
 
 def model_backward(config: ModelConfig, params: ModelParams, trace: ModelTrace,
@@ -232,56 +264,23 @@ def model_backward(config: ModelConfig, params: ModelParams, trace: ModelTrace,
 
     Returns parameter gradients shaped like ``params`` and the gradient
     with respect to the model input (one array per clip for a list), or
-    None for it when ``need_dx`` is false; the first feature layer (or the
-    head, without layers) then skips forming it.
+    None for it when ``need_dx`` is false; the first stage then skips
+    forming it.
     """
-    probs = trace.probs
-    dmean = np.asarray(dprobs_mean, float).reshape(len(probs), -1) / trace.avg_counts
-    dprobs = np.zeros_like(probs)
-    dprobs[:, trace.avg_cols] = np.repeat(dmean, trace.avg_counts, axis=1)
-    dlogits = softmax_backward(probs, dprobs)
-
-    g_softmax = DenseParams(W=dlogits @ trace.acts.T, b=dlogits.sum(axis=1))
-    dacts = params.softmax.W.T @ dlogits
-
-    T, _, B = trace.cls_trace.h.shape
-    head_dx = need_dx or bool(params.layers)
-    if config.classifier == "lstm":
-        g_dense, dhidden = dense_backward(params.dense, trace.hidden,
-                                          trace.dense_pre, dacts)
-        g_cls, dseq = lstm_backward(params.classifier, trace.cls_trace,
-                                    dh=_pack(dhidden, trace.cols, (T, len(dhidden), B)),
-                                    need_dx=head_dx)
-    else:
-        g_dense = None
-        dy = _pack(dacts * (trace.dense_pre > 0.0), trace.cols, (T, len(dacts), B))
-        g_cls, dseq = blstm_backward(params.classifier, trace.cls_trace,
-                                     trace.cls_bwd_trace, dy, need_dx=head_dx)
-    dx = _unpack(dseq, trace.cols) if head_dx else None
-
-    g_layers = [None] * len(params.layers)
-    for i in reversed(range(len(params.layers))):
-        g_layers[i], dx = layer_backward(config.layers[i], params.layers[i],
-                                         trace.layer_traces[i], dx,
-                                         need_dx=need_dx or i > 0)
-
-    grads = ModelParams(layers=g_layers, classifier=g_cls, dense=g_dense,
-                        softmax=g_softmax)
+    stages = _stages(config, params, trace.sel)
+    grads, d = [None] * len(stages), dprobs_mean
+    for i in reversed(range(len(stages))):
+        p, _, backward = stages[i]
+        grads[i], d = backward(p, trace.contexts[i], d, need_dx or i > 0)
+    *g_layers, g_head, g_dense, g_softmax, _ = grads
+    grads = ModelParams(layers=g_layers, classifier=g_head, dense=g_dense, softmax=g_softmax)
     if not need_dx or trace.single:
-        return grads, dx
-    # the input frame counts: the first layer's, or the head's without layers
-    lengths = trace.layer_traces[0].lengths if trace.layer_traces else trace.steps
-    return grads, np.split(dx, np.cumsum(lengths)[:-1], axis=1)
+        return grads, d
+    return grads, np.split(d, np.cumsum(trace.lengths)[:-1], axis=1)
 
 
 def predict_proba(config: ModelConfig, params: ModelParams, x: np.ndarray) -> np.ndarray:
-    probs_mean, _ = model_forward(config, params, x)
-    return probs_mean
-
-
-def predict(config: ModelConfig, params: ModelParams, x: np.ndarray) -> int:
-    """Predicted class of one k-by-l sequence."""
-    return int(np.argmax(predict_proba(config, params, x)))
+    return model_forward(config, params, x)[0]
 
 
 # ---------------------------------------------------------------------------

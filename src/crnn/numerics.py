@@ -46,7 +46,9 @@ def sigmoid_(z: np.ndarray) -> np.ndarray:
     value is below 2e-308; above that it is at most 2 ulp from the exact
     value.
     """
-    np.negative(z, out=z)
+    # not np.negative, which numpy 2.4.6 gets wrong in place at a 64-byte stride:
+    # a = np.arange(64.0); v = a[::8]; np.negative(v, out=v) gives [-0, -1, ..., -7]
+    np.multiply(z, -1.0, out=z)
     with np.errstate(over="ignore"):
         np.exp(z, out=z)
     z += 1.0

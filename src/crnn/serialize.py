@@ -98,6 +98,8 @@ def read_tensors(path) -> dict[str, np.ndarray]:
             name = need(nlen).decode("utf-8")
         except UnicodeDecodeError:
             raise ModelFileError(f"{path}: tensor name is not UTF-8") from None
+        if name in out:
+            raise ModelFileError(f"{path}: tensor {name} is listed twice")
         (ndim,) = struct.unpack("<B", need(1))
         shape = struct.unpack(f"<{ndim}I", need(4 * ndim))
         # an exact product: np.prod wraps in int64 on huge dimensions

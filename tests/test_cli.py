@@ -12,6 +12,7 @@ import pytest
 from crnn import cli
 from crnn.data import read_features, write_features, write_wav
 from crnn.numerics import Rng
+from crnn.serialize import read_tensors, write_tensors
 
 
 def write_split(root, name, count, seed, k=2, l=6):
@@ -205,6 +206,16 @@ class TestEval:
         capsys.readouterr()
         assert cli.main(["eval", "--config", str(cfg)]) == 3
         assert capsys.readouterr().err == f"error: data: {model}: {reason}\n"
+
+    def test_repeated_tensor_name_is_data_error(self, trained, capsys):
+        tmp_path, cfg = trained
+        model = tmp_path / "out" / "model.bin"
+        named = list(read_tensors(model).items())
+        name, arr = named[0]
+        write_tensors(model, [(name, np.zeros_like(arr))] + named)
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == f"error: data: {model}: tensor {name} is listed twice\n"
 
     def test_missing_model_file_is_data_error(self, tmp_path, capsys):
         val_tsv = write_split(tmp_path, "val", 4, seed=2)

@@ -11,8 +11,6 @@ from crnn.model import (
     min_sequence_length,
     model_backward,
     model_forward,
-    predict,
-    predict_proba,
 )
 from crnn.numerics import Rng, ShapeError, named_arrays, param_count
 
@@ -142,12 +140,6 @@ class TestForward:
         assert params.dense is None
         # the combination layer itself outputs dense_dim features
         assert params.classifier.W_fy.shape == (4, 3)
-
-    def test_predict_is_argmax_of_proba(self):
-        c = tiny_config()
-        params = init_model(c, Rng(6))
-        x = Rng(7).normal(0, 1, (2, 9))
-        assert predict(c, params, x) == int(np.argmax(predict_proba(c, params, x)))
 
     def test_forward_is_deterministic(self):
         c = tiny_config(classifier="blstm")
