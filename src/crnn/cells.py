@@ -47,8 +47,9 @@ keeps the gate gradients as (4n, T*B) columns and forms each weight
 gradient as one GEMM after the time loop; accumulating them step by step
 inside the loop is slower at the narrow head batches.
 
-``run_tasks`` runs independent thunks side by side on up to
-``set_workers`` threads.  Its one caller, ``layers``, hands it the two
+``run_tasks`` runs independent thunks side by side on the calling thread
+and one helper thread, or in turn on the calling thread when the process
+may use only one CPU.  Its one caller, ``layers``, hands it the two
 column halves of a recurrent layer's window batch; the cells themselves,
 the BLSTM's two directions included, always run on the calling thread.
 numpy releases the interpreter lock inside BLAS calls and large ufunc
@@ -60,7 +61,6 @@ the worker count never changes a result.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -147,35 +147,14 @@ def _default_workers() -> int:
 
 
 _workers = _default_workers()
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def set_workers(n: int | None = None) -> None:
-    """Run ``run_tasks`` on ``n`` threads, the caller's included (None
-    restores the default).  Only the schedule changes, never a result."""
-    global _workers, _pool
-    if n is not None and n < 1:
-        raise ValueError(f"workers must be >= 1, got {n}")
-    with _pool_lock:
-        if _pool is not None:
-            _pool.shutdown()
-            _pool = None
-        _workers = _default_workers() if n is None else n
-
-
-def _helpers() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_workers - 1, thread_name_prefix="crnn-task")
-        return _pool
+# one helper thread, started by the first task submitted to it
+_helper = ThreadPoolExecutor(1, thread_name_prefix="crnn-task")
 
 
 def run_tasks(thunks) -> list:
     """Call each of the independent zero-argument ``thunks`` and return
     their results in order.  The first runs on the calling thread and the
-    rest on the helper pool, but the caller takes back any that no helper
+    rest on the helper thread, but the caller takes back any that no helper
     has started by the time its own is done, so a helper slow to get a CPU
     costs no more than running in turn, and a call made from inside a task
     finishes even when that task holds the only helper.  An exception in
@@ -183,7 +162,7 @@ def run_tasks(thunks) -> list:
     thunks = list(thunks)
     if _workers < 2 or len(thunks) < 2:
         return [thunk() for thunk in thunks]
-    futures = [_helpers().submit(thunk) for thunk in thunks[1:]]
+    futures = [_helper.submit(thunk) for thunk in thunks[1:]]
     try:
         first = thunks[0]()
         rest = [thunk() if f.cancel() else f.result()

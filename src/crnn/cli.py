@@ -215,6 +215,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.verb](args)
     except ConfigError as e:
         print(f"error: config: {e}", file=sys.stderr)

@@ -18,6 +18,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -249,20 +250,17 @@ def write_wav(path, samples: np.ndarray, rate: int) -> None:
 
 @dataclass(frozen=True)
 class MelConfig:
+    """Log-mel analysis at one sample rate; the window, hop, filter count
+    and log floor are fixed."""
     sample_rate: int
-    window_ms: float = 25.0
-    hop_ms: float = 10.0
-    num_filters: int = 26
-    log_floor: float = 1e-10
+    window_ms: ClassVar[float] = 25.0
+    hop_ms: ClassVar[float] = 10.0
+    num_filters: ClassVar[int] = 26
+    log_floor: ClassVar[float] = 1e-10
 
     def __post_init__(self):
         if self.sample_rate < 1:
             raise ValueError(f"sample rate must be positive, got {self.sample_rate}")
-        if not self.window_ms > self.hop_ms > 0:
-            raise ValueError(
-                f"need window > hop > 0, got {self.window_ms} / {self.hop_ms} ms")
-        if self.num_filters < 1:
-            raise ValueError(f"need at least one filter, got {self.num_filters}")
         if self.hop_samples < 1:
             raise ValueError(f"a {self.hop_ms} ms hop is under one sample at "
                              f"{self.sample_rate} Hz")
@@ -383,7 +381,7 @@ def _manifest_rows(path: Path, kind: str):
         yield rel, fpath, label, group
 
 
-def read_manifest(path, num_classes: int | None = None) -> Dataset:
+def read_manifest(path, num_classes: int) -> Dataset:
     """Line format: <feature-file>\\t<label>\\t<group>; paths resolve
     relative to the manifest's directory."""
     path = Path(path)
@@ -396,8 +394,6 @@ def read_manifest(path, num_classes: int | None = None) -> Dataset:
         if ex.features.shape[0] != examples[0].features.shape[0]:
             raise DataError(f"{path}: {ex.source_id} has k = {ex.features.shape[0]} rows, "
                             f"but {examples[0].source_id} has {examples[0].features.shape[0]}")
-    if num_classes is None:
-        num_classes = max(ex.label for ex in examples) + 1
     return Dataset(examples=examples, num_classes=num_classes)
 
 

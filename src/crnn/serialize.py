@@ -105,6 +105,8 @@ def read_tensors(path) -> dict[str, np.ndarray]:
         # an exact product: np.prod wraps in int64 on huge dimensions
         size = math.prod(shape)
         data = np.frombuffer(need(8 * size), dtype="<f8")
+        if not np.isfinite(data).all():
+            raise ModelFileError(f"{path}: tensor {name} holds a non-finite value")
         out[name] = data.reshape(shape).copy()
     if pos != len(blob):
         raise ModelFileError(f"{path}: {len(blob) - pos} trailing bytes")

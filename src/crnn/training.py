@@ -91,6 +91,8 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         _check_adam(self.lr, self.beta1, self.beta2, self.epsilon)
 
 
@@ -166,12 +168,18 @@ class EvalResult:
 
 def evaluate(config: ModelConfig, params: ModelParams, dataset,
              batch_size: int = TrainConfig.batch_size) -> EvalResult:
-    """Predict every example, ``batch_size`` examples per forward pass."""
+    """Predict every example, ``batch_size`` examples per forward pass;
+    a non-finite class probability raises NumericError."""
     examples = dataset.examples
     preds: list[int] = []
     for lo in range(0, len(examples), batch_size):
         probs, _ = model_forward(config, params,
                                  [ex.features for ex in examples[lo:lo + batch_size]])
+        bad = ~np.isfinite(probs).all(axis=0)
+        if bad.any():
+            idx = lo + int(np.argmax(bad))
+            raise NumericError(f"non-finite class probabilities for example {idx} "
+                               f"({examples[idx].source_id!r})")
         preds.extend(int(p) for p in np.argmax(probs, axis=0))
     labels = [ex.label for ex in examples]
     return EvalResult(ua_recall=ua_recall(preds, labels, config.num_classes),

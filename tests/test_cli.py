@@ -141,6 +141,18 @@ class TestTrain:
         assert "error: numeric: non-finite gradient in layers.0.lstm.W_x at epoch 1" in err
         assert not (tmp_path / "out" / "model.bin").exists()
 
+    def test_negative_seed_in_config_is_config_error(self, tmp_path, capsys):
+        split = write_split(tmp_path, "train", 4, seed=1)
+        cfg = write_run_config(tmp_path, split, split, seed=-1)
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: config: {cfg}: seed must be >= 0, got -1\n"
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
+        split = write_split(tmp_path, "train", 4, seed=1)
+        cfg = write_run_config(tmp_path, split, split)
+        assert cli.main(["train", "--config", str(cfg), "--seed", "-5"]) == 2
+        assert capsys.readouterr().err == "error: config: --seed must be >= 0, got -5\n"
+
 
 class TestEval:
     def test_reports_recalls(self, trained, capsys):
@@ -217,6 +229,31 @@ class TestEval:
         assert cli.main(["eval", "--config", str(cfg)]) == 3
         assert capsys.readouterr().err == f"error: data: {model}: tensor {name} is listed twice\n"
 
+    def test_non_finite_probabilities_are_numeric_error(self, trained, capsys):
+        tmp_path, cfg = trained
+        test_tsv = write_split(tmp_path, "test", 4, seed=3)
+        bad = read_features(tmp_path / "test0002.txt")
+        bad[1, 3] = np.nan
+        write_features(tmp_path / "test0002.txt", bad)
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", str(cfg), "--data", str(test_tsv)]) == 4
+        out, err = capsys.readouterr()
+        assert "ua_recall" not in out
+        assert err == ("error: numeric: non-finite class probabilities for example 2 "
+                       "('test0002.txt')\n")
+
+    def test_non_finite_model_tensor_is_data_error(self, trained, capsys):
+        tmp_path, cfg = trained
+        model = tmp_path / "out" / "model.bin"
+        named = list(read_tensors(model).items())
+        name, arr = named[0]
+        arr.flat[0] = np.nan
+        write_tensors(model, named)
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == (f"error: data: {model}: tensor {name} "
+                                           f"holds a non-finite value\n")
+
     def test_missing_model_file_is_data_error(self, tmp_path, capsys):
         val_tsv = write_split(tmp_path, "val", 4, seed=2)
         cfg = write_run_config(tmp_path, val_tsv, val_tsv)
@@ -231,6 +268,10 @@ class TestGradcheck:
         assert "param " in out
         last = [l for l in out.splitlines() if l.startswith("max_rel_err")][0]
         assert float(last.split()[1]) < 1e-5
+
+    def test_negative_seed_is_config_error(self, capsys):
+        assert cli.main(["gradcheck", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: config: --seed must be >= 0, got -1\n"
 
 
 class TestExtractFeatures:

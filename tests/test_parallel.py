@@ -7,13 +7,16 @@ they are held to the one-block path by a tolerance of a few ulps.  The
 models here are small, so the tests that need tasks lower
 ``layers._TASK_MIN_MACS`` to 1.
 """
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from crnn import cells, cli, layers
-from crnn.cells import init_lstm, run_tasks, set_workers
+from crnn.cells import init_lstm, run_tasks
 from crnn.framing import WindowSpec, window_count
 from crnn.layers import CrnnLayerConfig, init_layer, layer_backward, layer_forward
 from crnn.numerics import Rng, ShapeError, named_arrays
@@ -21,10 +24,11 @@ from crnn.numerics import Rng, ShapeError, named_arrays
 from test_cli import write_run_config, write_split
 
 
-@pytest.fixture(autouse=True)
-def default_workers():
-    yield
-    set_workers()
+@pytest.fixture()
+def set_workers(monkeypatch):
+    """Set the worker count ``run_tasks`` sees for one test: at 1 every
+    task runs on the caller, at 2 the helper thread takes a share."""
+    return lambda n: monkeypatch.setattr(cells, "_workers", n)
 
 
 @pytest.fixture()
@@ -38,7 +42,7 @@ def close_to_leaf_max(a, b, tol: float) -> None:
 
 
 class TestRunTasks:
-    def test_first_on_caller_second_on_helper(self):
+    def test_first_on_caller_second_on_helper(self, set_workers):
         set_workers(2)
         started = threading.Event()
 
@@ -56,10 +60,10 @@ class TestRunTasks:
         assert on_first is threading.current_thread()
         assert on_second is not on_first
 
-    def test_caller_takes_back_a_task_no_helper_started(self):
+    def test_caller_takes_back_a_task_no_helper_started(self, set_workers):
         set_workers(2)
         release = threading.Event()
-        busy = cells._helpers().submit(release.wait, 60)   # the only helper
+        busy = cells._helper.submit(release.wait, 60)   # the only helper
         try:
             me = threading.current_thread()
             assert run_tasks([threading.current_thread] * 2) == [me, me]
@@ -68,12 +72,12 @@ class TestRunTasks:
             release.set()
             busy.result()
 
-    def test_one_worker_runs_inline(self):
+    def test_one_worker_runs_inline(self, set_workers):
         set_workers(1)
         me = threading.current_thread()
         assert run_tasks([threading.current_thread] * 2) == [me, me]
 
-    def test_helper_exception_reaches_caller_unchanged(self):
+    def test_helper_exception_reaches_caller_unchanged(self, set_workers):
         set_workers(2)
         raised = ShapeError("column block 1 is malformed")
         started = threading.Event()
@@ -88,7 +92,7 @@ class TestRunTasks:
         assert info.value is raised
         assert str(info.value) == "column block 1 is malformed"
 
-    def test_nested_call_does_not_deadlock(self):
+    def test_nested_call_does_not_deadlock(self, set_workers):
         set_workers(2)
         out = []
 
@@ -103,10 +107,6 @@ class TestRunTasks:
         caller.join(timeout=30)
         assert not caller.is_alive(), "nested run_tasks deadlocked"
         assert out == [[[("a", 0), ("a", 1)], [("b", 0), ("b", 1)]]]
-
-    def test_worker_count_must_be_positive(self):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            set_workers(0)
 
 
 def test_only_large_lstms_are_worth_a_task():
@@ -165,7 +165,8 @@ def split_fixture(tmp_path, kind="clstm"):
         "max_epochs": 2})
 
 
-def test_cli_artifacts_identical_at_one_and_two_workers(tmp_path, tasks_for_all):
+def test_cli_artifacts_identical_at_one_and_two_workers(tmp_path, tasks_for_all,
+                                                         set_workers):
     for kind in ("clstm", "cblstm"):
         cfg = split_fixture(tmp_path, kind)
         blobs = []
@@ -178,7 +179,8 @@ def test_cli_artifacts_identical_at_one_and_two_workers(tmp_path, tasks_for_all)
         assert blobs[0] == blobs[1], kind
 
 
-def test_cli_helper_shape_error_exits_4(tmp_path, monkeypatch, capsys, tasks_for_all):
+def test_cli_helper_shape_error_exits_4(tmp_path, monkeypatch, capsys, tasks_for_all,
+                                        set_workers):
     cfg = split_fixture(tmp_path)
     real = layers.lstm_forward
 
@@ -197,3 +199,29 @@ def test_cli_helper_shape_error_exits_4(tmp_path, monkeypatch, capsys, tasks_for
     assert cli.main(["train", "--config", str(cfg)]) == 4
     assert "error: numeric: injected in a helper task" in capsys.readouterr().err
 
+
+
+def test_no_thread_starts_at_import_or_at_one_worker():
+    # a fresh interpreter: this one's helper may have started already
+    code = f"""
+import sys, threading
+sys.path.insert(0, {str(Path(cells.__file__).parents[1])!r})
+import crnn
+assert threading.active_count() == 1, threading.enumerate()
+import numpy as np
+from crnn import cells, layers
+from crnn.framing import WindowSpec
+from crnn.layers import CrnnLayerConfig, init_layer, layer_backward, layer_forward
+from crnn.numerics import Rng
+cells._workers = 1
+layers._TASK_MIN_MACS = 1
+c = CrnnLayerConfig(kind="clstm", features=3, window=WindowSpec(3, 1))
+params = init_layer(c, 2, Rng(0))
+out, tr = layer_forward(c, params, Rng(1).normal(0, 1, (2, 40)))
+assert len(tr.cell_trace) == 2
+layer_backward(c, params, tr, np.ones_like(out))
+assert threading.active_count() == 1, threading.enumerate()
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

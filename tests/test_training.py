@@ -9,6 +9,7 @@ from crnn.layers import CrnnLayerConfig, SequenceTooShortError
 from crnn.model import ModelConfig, init_model, model_backward, model_forward
 from crnn.numerics import Rng, named_arrays, tree_copy, zeros_like_tree
 from crnn.training import (
+    NumericError,
     TrainConfig,
     adam_step,
     cross_entropy,
@@ -338,6 +339,13 @@ class TestTrain:
                                     window=WindowSpec(3, 1)),))
         with pytest.raises(SequenceTooShortError, match="example 2"):
             train(layer_model, TrainConfig(), bad, good)
+
+    def test_non_finite_validation_example_stops_training(self):
+        val = separable_dataset(8, seed=3)
+        val.examples[5].features[0, 2] = np.nan
+        with pytest.raises(NumericError, match=r"example 5 \('sep-5'\)"):
+            train(head_only_model(), TrainConfig(max_epochs=2, seed=0, batch_size=4),
+                  separable_dataset(8, seed=2), val)
 
     def test_history_records_every_epoch(self):
         train_set = separable_dataset(8, seed=4)
