@@ -49,9 +49,11 @@ inside the loop is slower at the narrow head batches.
 
 ``run_tasks`` runs independent thunks side by side on the calling thread
 and one helper thread, or in turn on the calling thread when the process
-may use only one CPU.  Its one caller, ``layers``, hands it the two
-column halves of a recurrent layer's window batch; the cells themselves,
-the BLSTM's two directions included, always run on the calling thread.
+may use only one CPU.  ``layers`` hands it the two column halves of a
+recurrent layer's window batch, and each BLSTM its two directions.  A
+BLSTM inside a column-half task mostly finds the helper busy with the
+other half, and then takes its second direction back and runs the two
+in turn.
 numpy releases the interpreter lock inside BLAS calls and large ufunc
 loops, so the threads overlap there while BLAS itself stays
 single-threaded.  Where the work splits is fixed by the data alone, so
@@ -63,6 +65,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -437,8 +440,9 @@ def blstm_forward(p: BlstmParams, x: np.ndarray, lengths=None
     direction then reads each column from its own last step."""
     xs = _to_steps(x)
     lengths = _check_lengths(lengths, xs.shape[0], xs.shape[2])
-    fwd_trace = lstm_forward(p.fwd, xs, lengths)
-    bwd_trace = lstm_forward(p.bwd, _reverse(xs, lengths), lengths)
+    xr = _reverse(xs, lengths)
+    fwd_trace, bwd_trace = run_tasks([partial(lstm_forward, p.fwd, xs, lengths),
+                                      partial(lstm_forward, p.bwd, xr, lengths)])
     s_f, s_b = _blstm_states(p, fwd_trace, bwd_trace)
     y = np.matmul(p.W_fy, s_f) + np.matmul(p.W_by, s_b) + p.b_y[None, :, None]
     return y, fwd_trace, bwd_trace
@@ -463,8 +467,9 @@ def blstm_backward(p: BlstmParams, fwd_trace: LstmTrace, bwd_trace: LstmTrace,
     dS_b = _reverse(np.matmul(p.W_by.T, dy), lengths)
 
     key = "dh" if p.source == "hidden" else "dc"
-    g_f, dx_f = lstm_backward(p.fwd, fwd_trace, **{key: dS_f}, need_dx=need_dx)
-    g_b, dx_b = lstm_backward(p.bwd, bwd_trace, **{key: dS_b}, need_dx=need_dx)
+    (g_f, dx_f), (g_b, dx_b) = run_tasks([
+        partial(lstm_backward, p.fwd, fwd_trace, **{key: dS_f}, need_dx=need_dx),
+        partial(lstm_backward, p.bwd, bwd_trace, **{key: dS_b}, need_dx=need_dx)])
     dxs = dx_f + _reverse(dx_b, lengths) if need_dx else None
 
     grads = BlstmParams(fwd=g_f, bwd=g_b, W_fy=gW_fy, W_by=gW_by, b_y=gb_y,

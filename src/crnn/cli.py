@@ -18,6 +18,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import ConfigError, RunConfig, parse_config
 from .data import (
     DataError,
@@ -146,6 +148,12 @@ def _cmd_eval(args) -> int:
 
     dataset = _read_split(manifest, model_run.model)
     if run.normalize:
+        # the pooled statistics would spread a clip's NaN over its whole
+        # group, and evaluate would then name the group's first clip
+        for idx, ex in enumerate(dataset.examples):
+            if not np.isfinite(ex.features).all():
+                raise NumericError(f"{manifest} example {idx} ({ex.source_id!r}) "
+                                   f"holds a non-finite feature value")
         dataset, _ = normalize_per_group(dataset)
     res = evaluate(model_run.model, params, dataset, run.train.batch_size)
     print(f"ua_recall {res.ua_recall:.4f}")

@@ -216,8 +216,12 @@ def _check_fill(counts: np.ndarray, sizes, what: str, spec: WindowSpec, unit: st
 # the other vCPU, it fell to one thread's speed or below.  From here up
 # (clstm and cblstm window batches, 1e6-7e7) the threads wake each other
 # under 350 times a second and two tasks ran at 1.2-1.8x.  Tiny LSTMs
-# (n <= 32 over hundreds of columns) ran at 0.4-0.98x.  The heads never
-# split: they are not window batches, and all stay below this.
+# (n <= 32 over hundreds of columns) ran at 0.4-0.98x.  The rule halves
+# window batches only, never a classifier head.  Every BLSTM, head or
+# cblstm block, runs its two directions as two tasks at any size instead
+# (``cells.blstm_forward``): an age/gender round of feature extraction
+# and forward passes ran 1.26x on an idle host, and 0.97x with a CPU-bound
+# process on the other vCPU.
 _TASK_MIN_MACS = 1_000_000
 
 

@@ -44,14 +44,16 @@ def sidecar_path(path) -> Path:
     return Path(str(path) + ".cfg")
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to a temporary file in the same directory, then
-    rename it over ``path``.  Nothing is fsynced: this guards against a
-    crash of the process, not of the machine."""
+def write_atomic(path, *chunks) -> None:
+    """Write the bytes-like ``chunks`` one after another to a temporary
+    file in the same directory, then rename it over ``path``.  Nothing is
+    fsynced: this guards against a crash of the process, not of the
+    machine."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as f:
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -59,6 +61,9 @@ def write_atomic(path, data: bytes) -> None:
 
 
 def write_tensors(path, named: list[tuple[str, np.ndarray]]) -> None:
+    """Stream the tensors to ``path`` straight from their buffers: joining
+    them first costs a copy of the whole model, whose fresh pages can take
+    thousands of page faults."""
     parts = [MAGIC, struct.pack("<II", VERSION, len(named))]
     for name, arr in named:
         arr = np.ascontiguousarray(arr, dtype="<f8")
@@ -67,8 +72,9 @@ def write_tensors(path, named: list[tuple[str, np.ndarray]]) -> None:
         parts.append(encoded)
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.tobytes())
-    write_atomic(path, b"".join(parts))
+        # its bytes as a view; memoryview.cast would refuse an empty tensor
+        parts.append(arr.view(np.uint8))
+    write_atomic(path, *parts)
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:

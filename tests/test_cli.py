@@ -242,6 +242,21 @@ class TestEval:
         assert err == ("error: numeric: non-finite class probabilities for example 2 "
                        "('test0002.txt')\n")
 
+    def test_non_finite_feature_under_normalize_names_its_clip(self, trained, capsys):
+        # pooling a group's statistics would turn all four clips into NaN
+        tmp_path, cfg = trained
+        test_tsv = write_split(tmp_path, "test", 4, seed=3)
+        bad = read_features(tmp_path / "test0002.txt")
+        bad[1, 3] = np.nan
+        write_features(tmp_path / "test0002.txt", bad)
+        cfg = write_run_config(tmp_path, test_tsv, test_tsv, normalize="true")
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", str(cfg), "--data", str(test_tsv)]) == 4
+        out, err = capsys.readouterr()
+        assert "ua_recall" not in out
+        assert err == (f"error: numeric: {test_tsv} example 2 ('test0002.txt') "
+                       f"holds a non-finite feature value\n")
+
     def test_non_finite_model_tensor_is_data_error(self, trained, capsys):
         tmp_path, cfg = trained
         model = tmp_path / "out" / "model.bin"

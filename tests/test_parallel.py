@@ -1,5 +1,6 @@
-"""The two-task schedule: ``cells.run_tasks`` and the column halves of the
-recurrent layers (clstm, extended_clstm and cblstm).
+"""The two-task schedule: ``cells.run_tasks``, the two directions of a
+BLSTM, and the column halves of the recurrent layers (clstm,
+extended_clstm and cblstm).
 
 The worker count only schedules work, so every result here must be the
 same at 1 and 2 workers; the column halves change the GEMM widths, so
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from crnn import cells, cli, layers
-from crnn.cells import init_lstm, run_tasks
+from crnn.cells import blstm_backward, blstm_forward, init_blstm, init_lstm, run_tasks
 from crnn.framing import WindowSpec, window_count
 from crnn.layers import CrnnLayerConfig, init_layer, layer_backward, layer_forward
 from crnn.numerics import Rng, ShapeError, named_arrays
@@ -117,12 +118,97 @@ def test_only_large_lstms_are_worth_a_task():
     assert len(layers._column_blocks(init_lstm(100, 256, Rng(0)), 1)) == 1
     assert len(layers._column_blocks(init_lstm(2, 3, Rng(0)), 2000)) == 1
     # the rule sits above a step of the age/gender BLSTM-256 head over 8
-    # clips (the heads never split); a cblstm-100 layer over 1000 windows
+    # clips (a head is never halved); a cblstm-100 layer over 1000 windows
     # is halved, by the sizes of its forward direction
     assert len(layers._column_blocks(init_lstm(100, 256, Rng(0)), 16)) == 1
     c = CrnnLayerConfig(kind="cblstm", features=100, window=WindowSpec(5, 2))
     blstm = init_layer(c, 26, Rng(0))
     assert layers._column_blocks(blstm.fwd, 1000) == [slice(0, 500), slice(500, 1000)]
+
+
+class TestBlstmDirections:
+    """Each BLSTM runs its forward and backward directions as two tasks."""
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["unpacked", "packed"])
+    @pytest.mark.parametrize("source", ["hidden", "cell"])
+    @pytest.mark.parametrize("need_dx", [True, False])
+    def test_bit_identical_at_one_and_two_workers(self, set_workers, packed, source,
+                                                  need_dx):
+        p = init_blstm(3, 5, 4, Rng(2), source=source)
+        lengths = np.array([9, 7, 7, 2]) if packed else None
+        x = Rng(3).normal(0, 1, (9, 3, 4))
+        if packed:
+            x *= (np.arange(9)[:, None] < lengths)[:, None, :]
+        dy = Rng(4).normal(0, 1, (9, 4, 4))
+        runs = []
+        for workers in (1, 2):
+            set_workers(workers)
+            y, ft, bt = blstm_forward(p, x, lengths)
+            grads, dx = blstm_backward(p, ft, bt, dy, need_dx=need_dx)
+            runs.append((y, grads, dx))
+        (y1, g1, dx1), (y2, g2, dx2) = runs
+        assert np.array_equal(y1, y2)
+        for (name, a), (_, b) in zip(named_arrays(g1), named_arrays(g2)):
+            assert np.array_equal(a, b), name
+        if need_dx:
+            assert np.array_equal(dx1, dx2)
+        else:
+            assert dx1 is None and dx2 is None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_directions_run_on_two_threads_at_two_workers(self, monkeypatch, set_workers,
+                                                          workers):
+        set_workers(workers)
+        caller = threading.current_thread()
+        real = cells.lstm_forward
+        names = set()
+        helper_started = threading.Event()
+
+        def recording(p, x, lengths=None):
+            names.add(threading.current_thread().name)
+            if threading.current_thread() is not caller:
+                helper_started.set()
+            elif workers == 2:
+                # hold the caller until the helper has its direction, so the
+                # caller cannot take it back
+                assert helper_started.wait(timeout=30)
+            return real(p, x, lengths)
+
+        monkeypatch.setattr(cells, "lstm_forward", recording)
+        blstm_forward(init_blstm(2, 3, 2, Rng(0)), Rng(1).normal(0, 1, (4, 2, 1)))
+        if workers == 1:
+            assert names == {caller.name}
+        else:
+            helper, = names - {caller.name}
+            assert len(names) == 2 and helper.startswith("crnn-task")
+
+    def test_cblstm_halves_run_their_directions_in_a_nested_call(self, tasks_for_all,
+                                                                 set_workers):
+        # each column-half task calls blstm_forward, whose run_tasks call
+        # is then nested inside a task
+        c = CrnnLayerConfig(kind="cblstm", features=3, window=WindowSpec(3, 1),
+                            reduction="max")
+        params = init_layer(c, 2, Rng(5))
+        lengths = np.array([150, 131])
+        x = Rng(6).normal(0, 1, (2, lengths.sum()))
+        dout = Rng(7).normal(0, 1, (3, window_count(lengths, c.window).sum()))
+        runs = []
+        for workers in (1, 2):
+            set_workers(workers)
+
+            def run():
+                out, tr = layer_forward(c, params, x, lengths)
+                assert len(tr.cell_trace) == 2
+                runs.append((out, *layer_backward(c, params, tr, dout)))
+
+            worker = threading.Thread(target=run, daemon=True)
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive(), f"cblstm halves hung at {workers} workers"
+        (out1, g1, dx1), (out2, g2, dx2) = runs
+        assert np.array_equal(out1, out2) and np.array_equal(dx1, dx2)
+        for (name, a), (_, b) in zip(named_arrays(g1), named_arrays(g2)):
+            assert np.array_equal(a, b), name
 
 
 class TestColumnHalves:
@@ -156,27 +242,27 @@ class TestColumnHalves:
         close_to_leaf_max(dx, dx1, 1e-14)
 
 
-def split_fixture(tmp_path, kind="clstm"):
+def split_fixture(tmp_path, kind="clstm", classifier="lstm"):
     """16 training clips of 40 frames, 18 windows each, in one batch."""
     train_tsv = write_split(tmp_path, "train", 16, seed=1, l=40)
     val_tsv = write_split(tmp_path, "val", 8, seed=2, l=40)
     return write_run_config(tmp_path, train_tsv, val_tsv, **{
         "layer1.kind": kind, "layer1.window": 5, "layer1.shift": 2, "batch_size": 16,
-        "max_epochs": 2})
+        "max_epochs": 2, "classifier": classifier})
 
 
 def test_cli_artifacts_identical_at_one_and_two_workers(tmp_path, tasks_for_all,
                                                          set_workers):
-    for kind in ("clstm", "cblstm"):
-        cfg = split_fixture(tmp_path, kind)
+    for kind, classifier in (("clstm", "lstm"), ("cblstm", "lstm"), ("clstm", "blstm")):
+        cfg = split_fixture(tmp_path, kind, classifier)
         blobs = []
         for workers in (1, 2):
             set_workers(workers)
-            out = tmp_path / f"{kind}-w{workers}"
+            out = tmp_path / f"{kind}-{classifier}-w{workers}"
             assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
             blobs.append(((out / "metrics.jsonl").read_bytes(),
                           (out / "model.bin").read_bytes()))
-        assert blobs[0] == blobs[1], kind
+        assert blobs[0] == blobs[1], (kind, classifier)
 
 
 def test_cli_helper_shape_error_exits_4(tmp_path, monkeypatch, capsys, tasks_for_all,

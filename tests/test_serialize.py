@@ -1,8 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from crnn.config import parse_config_text
-from crnn.model import init_model
+from crnn.model import age_gender_model_config, init_model
 from crnn import serialize
 from crnn.numerics import Rng, named_arrays
 from crnn.serialize import (
@@ -47,6 +49,23 @@ class TestTensorFile:
         assert set(got) == {"a.W", "b", "c.deep.T"}
         for name, arr in named:
             np.testing.assert_array_equal(got[name], arr)
+
+    def test_streamed_file_matches_joined_bytes(self, tmp_path):
+        # the age/gender preset's model, plus tensors that are empty, 0-d,
+        # big-endian or not C-ordered, against the bytes as one join builds them
+        params = init_model(age_gender_model_config(), Rng(3))
+        named = named_arrays(params) + [
+            ("empty", np.zeros((0, 3))), ("scalar", np.float64(2.5)),
+            ("big_endian", np.arange(4, dtype=">f8")),
+            ("transposed", np.arange(6.0).reshape(2, 3).T)]
+        parts = [b"CRNM", struct.pack("<II", 2, len(named))]
+        for name, arr in named:
+            arr = np.ascontiguousarray(arr, dtype="<f8")
+            encoded = name.encode("utf-8")
+            parts += [struct.pack("<H", len(encoded)), encoded,
+                      struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), arr.tobytes()]
+        write_tensors(tmp_path / "m.bin", named)
+        assert (tmp_path / "m.bin").read_bytes() == b"".join(parts)
 
     def test_writer_is_deterministic(self, tmp_path):
         _, params = example_model()
@@ -161,6 +180,16 @@ class TestAtomicWrites:
         with pytest.raises(OSError, match="disk went away"):
             save_model(path, run, other)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_chunk_failing_part_way_keeps_old_file(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"old model")
+        # the first chunk outgrows the write buffer, so it reaches the
+        # temporary file before the second fails
+        with pytest.raises(TypeError):
+            write_atomic(path, bytes(1 << 20), "not bytes", b"never written")
+        assert path.read_bytes() == b"old model"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
     def test_write_atomic_replaces_whole_file(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
