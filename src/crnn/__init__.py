@@ -19,7 +19,6 @@ from .cells import (
     init_lstm,
     lstm_backward,
     lstm_forward,
-    lstm_step,
 )
 from .config import ConfigError, RunConfig, parse_config, parse_config_text, render_config
 from .data import (
@@ -34,7 +33,6 @@ from .data import (
     normalize_per_group,
     read_manifest,
     read_wav,
-    write_manifest,
     write_wav,
 )
 from .framing import WindowSpec, stack_windows, window_count

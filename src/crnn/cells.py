@@ -49,11 +49,11 @@ inside the loop is slower at the narrow head batches.
 
 ``run_tasks`` runs independent thunks side by side on the calling thread
 and one helper thread, or in turn on the calling thread when the process
-may use only one CPU.  ``layers`` hands it the two column halves of a
-recurrent layer's window batch, and each BLSTM its two directions.  A
-BLSTM inside a column-half task mostly finds the helper busy with the
-other half, and then takes its second direction back and runs the two
-in turn.
+may use only one CPU.  ``training`` hands it the clip halves of a large
+training batch, ``layers`` the column halves of a recurrent layer's
+window batch, and each BLSTM its two directions.  A call inside a task
+mostly finds the helper busy with the other task, and then takes its
+second thunk back and runs the two in turn.
 numpy releases the interpreter lock inside BLAS calls and large ufunc
 loops, so the threads overlap there while BLAS itself stays
 single-threaded.  Where the work splits is fixed by the data alone, so
@@ -289,26 +289,6 @@ def _lstm_gates(W_x, p, x_t, h_prev, c_prev, a, c, tc, h, tmp) -> None:
     sigmoid_(o)
     np.tanh(c, out=tc)
     np.multiply(o, tc, out=h)
-
-
-def lstm_step(p: LstmParams, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Single step on a (k, B) input and (n, B) states.  The cache maps
-    gate names to their (n, B) activations."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    if x_t.ndim != 2 or np.ndim(h_prev) != 2 or np.ndim(c_prev) != 2:
-        raise ShapeError(f"lstm_step takes (k, B) input and (n, B) states, got shapes "
-                         f"{x_t.shape}, {np.shape(h_prev)} and {np.shape(c_prev)}")
-    if p.W_x.ndim != 2:
-        raise ShapeError("lstm_step takes a plain LSTM; an extended LSTM's input "
-                         "weights depend on the frame position")
-    n, B = p.n, x_t.shape[1]
-    a = np.empty((4 * n, B))
-    c, tc, h = np.empty((n, B)), np.empty((n, B)), np.empty((n, B))
-    _lstm_gates(p.W_x, p, x_t, np.asarray(h_prev, dtype=np.float64),
-                np.asarray(c_prev, dtype=np.float64), a, c, tc, h, np.empty((4 * n, B)))
-    return h, c, {"i": a[:n], "f": a[n:2 * n], "g": a[2 * n:3 * n], "o": a[3 * n:],
-                  "tanh_c": tc}
 
 
 def lstm_forward(p: LstmParams, x: np.ndarray, lengths=None) -> LstmTrace:

@@ -405,16 +405,3 @@ def read_audio_manifest(path) -> list[tuple[Path, int, str]]:
         raise DataError(f"{path}: manifest lists no files")
     return entries
 
-
-def write_manifest(directory, dataset: Dataset, name: str = "manifest.tsv") -> Path:
-    """Write each example as a feature file plus one manifest lining them up."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for i, ex in enumerate(dataset.examples):
-        fname = f"ex{i:06d}.txt"
-        write_features(directory / fname, ex.features)
-        lines.append(f"{fname}\t{ex.label}\t{ex.group}")
-    manifest = directory / name
-    manifest.write_text("\n".join(lines) + "\n")
-    return manifest

@@ -17,8 +17,9 @@ through index arrays, never across a clip boundary.  One rule spreads
 the work over threads (``_column_blocks``): a recurrent layer's window
 batch runs as two column halves, two tasks on ``cells.run_tasks``, once
 one step of a half's LSTM is ``_TASK_MIN_MACS`` multiply-adds or more,
-and as one block below that.  The cut depends on the window count and
-the layer's sizes alone, never on the thread count.
+and as one block below that; ``training`` asks ``runs_column_halves``
+whether to split a training batch into clip halves.  The cut depends on
+the window count and the layer's sizes alone, never on the thread count.
 
 Extractor kinds:
 
@@ -64,7 +65,7 @@ from .framing import (
     stack_windows,
     window_count,
 )
-from .numerics import ACTIVATIONS, Rng, init_params, named_arrays, relu
+from .numerics import ACTIVATIONS, Rng, init_params, relu, tree_add_
 
 KINDS = ("conv", "clstm", "extended_clstm", "cblstm")
 SOURCES = ("hidden", "cell", "output")
@@ -205,23 +206,9 @@ def _check_fill(counts: np.ndarray, sizes, what: str, spec: WindowSpec, unit: st
             f"{sizes[short[0]]} {unit} cannot fill a {what} of width {spec.width}")
 
 
-# Multiply-adds in one step of a column block's LSTM, cols * n * (n + k),
-# from which a recurrent layer's window batch runs as two halves on two
-# threads.  The threads overlap only inside BLAS calls; at every other
-# numpy call they pass the interpreter lock back and forth, and each pass
-# wakes the other thread.  A step below this holds the lock for much of
-# its time: split, the age/gender BLSTM-256 head over 1-8 clips (9e4-7e5)
-# ran 1.7x faster on an idle host, but its threads woke each other about
-# 3500 times a second, so on a busy shared host, where a wake-up waits for
-# the other vCPU, it fell to one thread's speed or below.  From here up
-# (clstm and cblstm window batches, 1e6-7e7) the threads wake each other
-# under 350 times a second and two tasks ran at 1.2-1.8x.  Tiny LSTMs
-# (n <= 32 over hundreds of columns) ran at 0.4-0.98x.  The rule halves
-# window batches only, never a classifier head.  Every BLSTM, head or
-# cblstm block, runs its two directions as two tasks at any size instead
-# (``cells.blstm_forward``): an age/gender round of feature extraction
-# and forward passes ran 1.26x on an idle host, and 0.97x with a CPU-bound
-# process on the other vCPU.
+# Multiply-adds in one step of a column block's LSTM from which a recurrent
+# layer's window batch runs as two column halves, and a training batch as two
+# clip halves (``training.loss_gradients``); CHANGES.md has the measurements.
 _TASK_MIN_MACS = 1_000_000
 
 
@@ -233,6 +220,17 @@ def _column_blocks(p: LstmParams, count: int) -> list[slice]:
     if half * p.n * (p.n + p.input_dim) < _TASK_MIN_MACS:
         return [slice(0, count)]
     return [slice(0, half), slice(half, count)]
+
+
+def _cell(config: CrnnLayerConfig, params) -> LstmParams:
+    return params.fwd if config.kind == "cblstm" else params.lstm   # sizes the blocks
+
+
+def runs_column_halves(config: CrnnLayerConfig, params, lengths) -> bool:
+    """Whether the layer runs the windows of clips of ``lengths`` frames
+    as two column halves (never for conv)."""
+    count = int(window_count(np.asarray(lengths), config.window).sum())
+    return config.kind != "conv" and len(_column_blocks(_cell(config, params), count)) == 2
 
 
 def _block_forward(config: CrnnLayerConfig, params, xw: np.ndarray):
@@ -285,8 +283,7 @@ def layer_forward(config: CrnnLayerConfig, params, x: np.ndarray,
         trace.conv_preact = z
         feats = ACTIVATIONS[config.activation](z)
     else:
-        lstm = params.fwd if config.kind == "cblstm" else params.lstm
-        trace.blocks = _column_blocks(lstm, xw.shape[2])
+        trace.blocks = _column_blocks(_cell(config, params), xw.shape[2])
         traces, feats, amax = zip(*run_tasks(
             [partial(_block_forward, config, params, xw[:, :, cols]) for cols in trace.blocks]))
         trace.cell_trace = list(traces)
@@ -338,8 +335,7 @@ def layer_backward(config: CrnnLayerConfig, params, trace: LayerTrace,
             for tr, cols in zip(trace.cell_trace, trace.blocks)])
         grads = blocks[0][0]
         for part, _ in blocks[1:]:
-            for (_, total), (_, add) in zip(named_arrays(grads), named_arrays(part)):
-                total += add
+            tree_add_(grads, part)
         dxw = np.concatenate([d for _, d in blocks], axis=2) if need_dx else None
 
     return grads, scatter_windows_add(dxw, config.window, trace.lengths) if need_dx else None

@@ -157,6 +157,12 @@ def tree_map(fn, tree):
     return tree
 
 
+def tree_add_(total, part) -> None:
+    """total += part, leaf by leaf, in place."""
+    for (_, a), (_, b) in zip(named_arrays(total), named_arrays(part)):
+        a += b
+
+
 def tree_copy(tree):
     return tree_map(np.copy, tree)
 

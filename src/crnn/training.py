@@ -4,9 +4,10 @@ The loss is cross-entropy of the *averaged* per-step class distribution
 (one scalar per example); a mini-batch gradient is the arithmetic mean of
 the per-example gradients.  Each shuffled mini-batch, whatever its clips'
 lengths, runs as one forward/backward pass over the list of its clips
-(see ``model``), so the per-example gradients are summed inside the
-weight-gradient GEMMs; results are bit-identical run to run.  Evaluation
-runs the dataset in its own order, in chunks of the training batch size.
+(see ``model``), or a large one as two over clip halves side by side;
+within a pass the per-example gradients are summed inside the GEMMs.
+Results are bit-identical run to run and at any thread count.
+Evaluation runs the dataset in its own order, in chunks of the batch size.
 
 Adam defaults to lr=0.002, beta1=0.1, beta2=0.001.  Those decay rates are
 far smaller than the usual 0.9/0.999, which makes the moment estimates
@@ -25,10 +26,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .layers import SequenceTooShortError
+from .cells import run_tasks
+from .layers import SequenceTooShortError, runs_column_halves
 from .metrics import per_class_recall, ua_recall
 from .model import (
     ModelConfig,
@@ -38,36 +41,72 @@ from .model import (
     model_backward,
     model_forward,
 )
-from .numerics import Rng, named_arrays, tree_copy, zeros_like_tree
+from .numerics import (Rng, ShapeError, as_clips, named_arrays, tree_add_, tree_copy,
+                       zeros_like_tree)
 
 
 class NumericError(RuntimeError):
     """A computation produced a non-finite value or failed verification."""
 
 
+def _labels(label, clips: int | None) -> np.ndarray:
+    """``label`` as an array, checked to hold one label per clip: a scalar
+    for one sequence (``clips`` None), else ``clips`` labels."""
+    labels = np.asarray(label)
+    if clips is None and labels.ndim != 0:
+        raise ShapeError(f"one sequence needs a scalar label, got shape {labels.shape}")
+    if clips is not None and labels.shape != (clips,):
+        got = "a scalar" if labels.ndim == 0 else labels.size
+        raise ShapeError(f"{clips} clips need {clips} labels, got {got}")
+    return labels
+
+
 def cross_entropy(probs: np.ndarray, label) -> float:
     """-ln(probs[label]) for one probability vector and its label, or the
     sum over the columns of a (C, B) stack given B labels."""
     probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(label)
+    labels = _labels(label, probs.shape[1] if probs.ndim == 2 else None)
     if np.any(labels < 0) or np.any(labels >= probs.shape[0]):
         raise ValueError(f"label {label} out of range for {probs.shape[0]} classes")
     return float(-np.log(np.take_along_axis(probs, labels[None], axis=0)).sum())
+
+
+def _clip_halves(lengths: list[int]) -> list[np.ndarray]:
+    """Deal the clips, longest first, to halves 0, 1, 1, 0, 0, 1, 1, 0, ...;
+    each half lists its clips in batch order."""
+    order = np.argsort(-np.asarray(lengths), kind="stable")
+    side = (np.arange(len(order)) + 1) // 2 % 2
+    return [np.sort(order[side == h]) for h in (0, 1)]
+
+
+def _one_pass(config: ModelConfig, params: ModelParams, x, labels: np.ndarray
+              ) -> tuple[float, ModelParams]:
+    probs_mean, trace = model_forward(config, params, x)
+    loss = cross_entropy(probs_mean, labels)
+    dprobs_mean, at = np.zeros_like(probs_mean), labels[None]
+    np.put_along_axis(dprobs_mean, at, -1.0 / np.take_along_axis(probs_mean, at, axis=0), axis=0)
+    grads, _ = model_backward(config, params, trace, dprobs_mean, need_dx=False)
+    return loss, grads
 
 
 def loss_gradients(config: ModelConfig, params: ModelParams, x,
                    label) -> tuple[float, ModelParams]:
     """Cross-entropy loss and its exact parameter gradients, for one k-by-l
     example and its label, or summed over a list of B clips given their B
-    labels."""
-    probs_mean, trace = model_forward(config, params, x)
-    loss = cross_entropy(probs_mean, label)
-    labels = np.asarray(label)[None]
-    dprobs_mean = np.zeros_like(probs_mean)
-    np.put_along_axis(dprobs_mean, labels,
-                      -1.0 / np.take_along_axis(probs_mean, labels, axis=0), axis=0)
-    grads, _ = model_backward(config, params, trace, dprobs_mean, need_dx=False)
-    return loss, grads
+    labels.  A list runs as two clip halves, two tasks on ``run_tasks``,
+    when the first feature layer would run all its windows as column
+    halves; the half holding the longest clip is added first."""
+    clips, single = as_clips(x)
+    labels = _labels(label, None if single else len(clips))
+    lengths = [c.shape[1] for c in clips]
+    if len(clips) < 2 or not config.layers or not runs_column_halves(
+            config.layers[0], params.layers[0], lengths):
+        return _one_pass(config, params, clips[0] if single else clips, labels)
+    (loss, grads), (loss1, grads1) = run_tasks(
+        [partial(_one_pass, config, params, [clips[j] for j in half], labels[half])
+         for half in _clip_halves(lengths)])
+    tree_add_(grads, grads1)
+    return loss + loss1, grads
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from crnn.cells import (
     init_lstm,
     lstm_backward,
     lstm_forward,
-    lstm_step,
+    _lstm_gates,
 )
 from crnn.numerics import Rng, ShapeError, init_params, named_arrays, zeros_like_tree
 from crnn.training import fd_check
@@ -43,6 +43,16 @@ def accumulator_lstm(b_f: float = 100.0, b_c: float = 0.0) -> LstmParams:
     p.W_x[2, 0] = 1.0
     p.b[:] = [100.0, b_f, b_c, 100.0]
     return p
+
+
+def lstm_step(p: LstmParams, x_t, h_prev, c_prev):
+    """One step of the kernel ``lstm_forward`` runs, on a (k, B) input and
+    (n, B) states: (h, c, the gates i, f, g, o by name)."""
+    n, B = p.n, x_t.shape[1]
+    a, tmp = np.empty((4 * n, B)), np.empty((4 * n, B))
+    c, tc, h = (np.empty((n, B)) for _ in range(3))
+    _lstm_gates(p.W_x, p, x_t, h_prev, c_prev, a, c, tc, h, tmp)
+    return h, c, {"i": a[:n], "f": a[n:2 * n], "g": a[2 * n:3 * n], "o": a[3 * n:]}
 
 
 class TestLstmStep:
@@ -358,7 +368,7 @@ class TestBlstm:
 
 
 class TestLayout:
-    """The cells take (T, k, B) stacks and (k, B)/(n, B) step batches only."""
+    """The cells take (T, k, B) stacks only."""
 
     @pytest.mark.parametrize("shape", [(2, 4), (4, 2, 1, 1)])
     def test_lstm_forward_rejects_other_ranks(self, shape):
@@ -369,21 +379,6 @@ class TestLayout:
     def test_blstm_forward_rejects_other_ranks(self, shape):
         with pytest.raises(ShapeError):
             blstm_forward(init_blstm(2, 3, 2, Rng(0)), np.zeros(shape))
-
-    @pytest.mark.parametrize("shape", [(2,), (4, 2, 1)])
-    def test_lstm_step_rejects_other_ranks(self, shape):
-        with pytest.raises(ShapeError):
-            lstm_step(init_lstm(2, 3, Rng(0)), np.zeros(shape),
-                      np.zeros((3, 1)), np.zeros((3, 1)))
-
-    def test_lstm_step_rejects_extended_lstm(self):
-        with pytest.raises(ShapeError):
-            lstm_step(init_extended_lstm(2, 3, 4, Rng(0)), np.zeros((2, 1)),
-                      np.zeros((3, 1)), np.zeros((3, 1)))
-
-    def test_lstm_step_rejects_vector_state(self):
-        with pytest.raises(ShapeError):
-            lstm_step(init_lstm(2, 3, Rng(0)), np.zeros((2, 1)), np.zeros(3), np.zeros(3))
 
     def test_blstm_backward_rejects_matrix_upstream(self):
         p = init_blstm(2, 3, 2, Rng(0))

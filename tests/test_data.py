@@ -28,10 +28,21 @@ from crnn.data import (
     read_manifest,
     read_wav,
     write_features,
-    write_manifest,
     write_wav,
 )
 from crnn.numerics import Rng
+
+
+def write_manifest(directory: Path, dataset: Dataset) -> Path:
+    """Write each example as a feature file plus one manifest lining them up."""
+    lines = []
+    for i, ex in enumerate(dataset.examples):
+        fname = f"ex{i:06d}.txt"
+        write_features(directory / fname, ex.features)
+        lines.append(f"{fname}\t{ex.label}\t{ex.group}")
+    manifest = directory / "manifest.tsv"
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest
 
 
 def make_dataset(counts, k=2, l=4, seed=0):

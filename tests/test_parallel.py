@@ -1,10 +1,11 @@
 """The two-task schedule: ``cells.run_tasks``, the two directions of a
-BLSTM, and the column halves of the recurrent layers (clstm,
-extended_clstm and cblstm).
+BLSTM, the column halves of the recurrent layers (clstm, extended_clstm
+and cblstm) and the clip halves of a training batch.
 
 The worker count only schedules work, so every result here must be the
-same at 1 and 2 workers; the column halves change the GEMM widths, so
-they are held to the one-block path by a tolerance of a few ulps.  The
+same at 1 and 2 workers; the column and clip halves change the GEMM
+widths and the summation order, so they are held to the one-block path
+and the one-pass batch by a tolerance of a few ulps.  The
 models here are small, so the tests that need tasks lower
 ``layers._TASK_MIN_MACS`` to 1.
 """
@@ -16,11 +17,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crnn import cells, cli, layers
+from crnn import cells, cli, layers, model, training
 from crnn.cells import blstm_backward, blstm_forward, init_blstm, init_lstm, run_tasks
+from crnn.data import gen_order_task
 from crnn.framing import WindowSpec, window_count
 from crnn.layers import CrnnLayerConfig, init_layer, layer_backward, layer_forward
+from crnn.model import ModelConfig, init_model
 from crnn.numerics import Rng, ShapeError, named_arrays
+from crnn.training import loss_gradients
 
 from test_cli import write_run_config, write_split
 
@@ -242,6 +246,102 @@ class TestColumnHalves:
         close_to_leaf_max(dx, dx1, 1e-14)
 
 
+def clip_batch(first_kind: str, classifier: str, size: int):
+    """A one-layer model and ``size`` clips of distinct lengths with their
+    labels; the lengths are shuffled, so batch order is not length order."""
+    layer = CrnnLayerConfig(kind=first_kind, features=3, window=WindowSpec(3, 1),
+                            reduction="max")
+    config = ModelConfig(input_dim=2, num_classes=3, layers=(layer,), classifier=classifier,
+                         classifier_dim=4, dense_dim=5, aggregation="all")
+    rng = Rng(size)
+    params = init_model(config, rng.split())
+    lengths = 6 + 3 * rng.permutation(size)
+    xs = [rng.normal(0, 1, (2, int(l))) for l in lengths]
+    labels = [int(v) for v in rng.integers(0, 3, size)]
+    return config, params, xs, labels
+
+
+@pytest.fixture()
+def forward_batches(monkeypatch):
+    """The clip count of every ``model_forward`` call ``loss_gradients`` makes."""
+    sizes = []
+
+    def recording(config, params, x):
+        sizes.append(len(x) if isinstance(x, list) else 1)
+        return model.model_forward(config, params, x)
+
+    monkeypatch.setattr(training, "model_forward", recording)
+    return sizes
+
+
+class TestClipHalves:
+    """A training batch whose first layer would run as column halves runs
+    as two clip halves, and their losses and gradients are added."""
+
+    def test_deal_longest_first(self):
+        assert [h.tolist() for h in training._clip_halves([5, 9])] == [[1], [0]]
+        assert [h.tolist() for h in training._clip_halves([5, 9, 7])] == [[1], [0, 2]]
+        # by length, clips 1 6 4 8 3 7 0 5 2 go to halves 0 1 1 0 0 1 1 0 0
+        lengths = [30, 90, 10, 50, 70, 20, 80, 40, 60]
+        assert [h.tolist() for h in training._clip_halves(lengths)] == [
+            [1, 2, 3, 5, 8], [0, 4, 6, 7]]
+        # without clip 8: clips 1 6 4 3 7 0 5 2 go to halves 0 1 1 0 0 1 1 0
+        assert [h.tolist() for h in training._clip_halves(lengths[:8])] == [
+            [1, 2, 3, 7], [0, 4, 5, 6]]
+
+    @pytest.mark.parametrize("size", [2, 3, 8, 9])
+    @pytest.mark.parametrize("first_kind,classifier", [("clstm", "lstm"), ("cblstm", "blstm")])
+    def test_halves_match_one_pass(self, tasks_for_all, set_workers, forward_batches,
+                                   first_kind, classifier, size):
+        config, params, xs, labels = clip_batch(first_kind, classifier, size)
+        runs = []
+        for workers in (1, 2):
+            set_workers(workers)
+
+            def run():
+                runs.append(loss_gradients(config, params, xs, labels))
+
+            # at 2 workers every half takes its layer's column halves back
+            # through the nested run_tasks call
+            worker = threading.Thread(target=run, daemon=True)
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive(), f"clip halves hung at {workers} workers"
+        halves = [len(h) for h in training._clip_halves([x.shape[1] for x in xs])]
+        assert forward_batches == halves * 2
+        (loss1, g1), (loss2, g2) = runs
+        assert loss1 == loss2
+        for (name, a), (_, b) in zip(named_arrays(g1), named_arrays(g2)):
+            assert np.array_equal(a, b), name
+
+        loss, grads = training._one_pass(config, params, xs, np.array(labels))
+        assert abs(loss1 - loss) <= 1e-14 * abs(loss)
+        close_to_leaf_max(g1, grads, 1e-14)
+
+    def test_one_clip_never_splits(self, tasks_for_all, forward_batches):
+        config, params, xs, labels = clip_batch("clstm", "lstm", 2)
+        loss, grads = loss_gradients(config, params, xs[:1], labels[:1])
+        want = training._one_pass(config, params, xs[0], np.array(labels[0]))
+        assert forward_batches == [1, 1]
+        assert loss == want[0]
+        for (name, a), (_, b) in zip(named_arrays(grads), named_arrays(want[1])):
+            assert np.array_equal(a, b), name
+
+    def test_order_task_never_splits(self, forward_batches):
+        # the order task's clstm-16 over 16 clips of 5 windows: one step
+        # over half of its 80 windows is 40 * 16 * 20 multiply-adds
+        layer = CrnnLayerConfig(kind="clstm", features=16, window=WindowSpec(5, 5),
+                                source="cell", reduction="max")
+        config = ModelConfig(input_dim=4, num_classes=2, layers=(layer,),
+                             classifier="lstm", classifier_dim=16, dense_dim=16)
+        params = init_model(config, Rng(0))
+        data = gen_order_task(16, 4, 25, Rng(1))
+        xs = [ex.features for ex in data.examples]
+        assert not layers.runs_column_halves(layer, params.layers[0], [x.shape[1] for x in xs])
+        loss_gradients(config, params, xs, [ex.label for ex in data.examples])
+        assert forward_batches == [16]
+
+
 def split_fixture(tmp_path, kind="clstm", classifier="lstm"):
     """16 training clips of 40 frames, 18 windows each, in one batch."""
     train_tsv = write_split(tmp_path, "train", 16, seed=1, l=40)
@@ -252,8 +352,9 @@ def split_fixture(tmp_path, kind="clstm", classifier="lstm"):
 
 
 def test_cli_artifacts_identical_at_one_and_two_workers(tmp_path, tasks_for_all,
-                                                         set_workers):
-    for kind, classifier in (("clstm", "lstm"), ("cblstm", "lstm"), ("clstm", "blstm")):
+                                                         set_workers, forward_batches):
+    for kind, classifier in (("clstm", "lstm"), ("cblstm", "lstm"), ("clstm", "blstm"),
+                             ("cblstm", "blstm")):
         cfg = split_fixture(tmp_path, kind, classifier)
         blobs = []
         for workers in (1, 2):
@@ -263,6 +364,8 @@ def test_cli_artifacts_identical_at_one_and_two_workers(tmp_path, tasks_for_all,
             blobs.append(((out / "metrics.jsonl").read_bytes(),
                           (out / "model.bin").read_bytes()))
         assert blobs[0] == blobs[1], (kind, classifier)
+    # every 16-clip training batch ran as two clip halves of 8
+    assert forward_batches and 16 not in forward_batches
 
 
 def test_cli_helper_shape_error_exits_4(tmp_path, monkeypatch, capsys, tasks_for_all,

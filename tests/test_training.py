@@ -7,7 +7,7 @@ from crnn.data import Dataset, SequenceExample
 from crnn.framing import WindowSpec
 from crnn.layers import CrnnLayerConfig, SequenceTooShortError
 from crnn.model import ModelConfig, init_model, model_backward, model_forward
-from crnn.numerics import Rng, named_arrays, tree_copy, zeros_like_tree
+from crnn.numerics import Rng, ShapeError, named_arrays, tree_copy, zeros_like_tree
 from crnn.training import (
     NumericError,
     TrainConfig,
@@ -42,6 +42,36 @@ class TestCrossEntropy:
             cross_entropy(np.array([0.5, 0.5]), 2)
         with pytest.raises(ValueError):
             cross_entropy(np.array([0.5, 0.5]), -1)
+
+
+class TestLabelCount:
+    """One label per clip: a scalar for one sequence, B labels for B clips."""
+
+    def setup_method(self):
+        self.c = tiny_model()
+        self.params = init_model(self.c, Rng(3))
+        rng = Rng(4)
+        self.xs = [rng.normal(0, 1, (2, 9)), rng.normal(0, 1, (2, 11))]
+
+    def test_too_few_labels(self):
+        with pytest.raises(ShapeError, match="2 clips need 2 labels, got 1"):
+            loss_gradients(self.c, self.params, self.xs, [1])
+
+    def test_too_many_labels(self):
+        with pytest.raises(ShapeError, match="2 clips need 2 labels, got 3"):
+            loss_gradients(self.c, self.params, self.xs, [1, 0, 1])
+
+    def test_scalar_label_for_a_list(self):
+        with pytest.raises(ShapeError, match="2 clips need 2 labels, got a scalar"):
+            loss_gradients(self.c, self.params, self.xs, 1)
+
+    def test_cross_entropy_counts_columns(self):
+        probs = np.full((2, 3), 0.5)
+        assert cross_entropy(probs, [0, 1, 1]) == pytest.approx(3 * math.log(2))
+        with pytest.raises(ShapeError, match="3 clips need 3 labels, got 2"):
+            cross_entropy(probs, [0, 1])
+        with pytest.raises(ShapeError, match=r"one sequence needs a scalar label, got shape \(1,\)"):
+            cross_entropy(np.array([0.5, 0.5]), [1])
 
 
 def scalar_params():
